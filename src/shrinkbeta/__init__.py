@@ -15,9 +15,8 @@ from .dynamics import (CoinStream, PointState, induced_step, orbit,
 from .errors import (DeletedPointError, InequalityViolationError,
                      InvariantViolationError, OrbitEscapeError,
                      ShrinkBetaError, StreamExhaustedError)
-from .gls import (GlsPartition, ReturnTimeVector, apply_greedy, apply_lazy,
-                  greedy_breakpoints, lazy_breakpoints, return_time_law,
-                  return_time_vector)
+from .gls import (GlsPartition, ReturnTimeVector, greedy_breakpoints,
+                  lazy_breakpoints, return_time_law, return_time_vector)
 from .kernels import BACKEND
 from .markov import (MarkovChain, build_adjacency, build_chain,
                      build_partition, check_inequality, eigen_closed_form,
@@ -36,7 +35,7 @@ __all__ = [
     "CoinStream", "PointState", "induced_step", "orbit", "return_time", "step",
     "ShrinkBetaError", "OrbitEscapeError", "StreamExhaustedError",
     "DeletedPointError", "InvariantViolationError", "InequalityViolationError",
-    "GlsPartition", "ReturnTimeVector", "apply_greedy", "apply_lazy",
+    "GlsPartition", "ReturnTimeVector",
     "greedy_breakpoints", "lazy_breakpoints", "return_time_law",
     "return_time_vector", "BACKEND", "MarkovChain", "build_adjacency",
     "build_chain", "build_partition", "check_inequality", "eigen_closed_form",

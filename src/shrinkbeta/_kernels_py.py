@@ -7,11 +7,15 @@ bare RuntimeError with a structured "kind:payload" message; the dispatcher
 in `kernels` translates those into the package's typed errors.
 """
 
+from bisect import bisect_right
+
 import numpy as np
 
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2 = np.uint64(0x94D049BB133111EB)
+from . import _bits
+
+_GOLDEN = np.uint64(_bits._GOLDEN)
+_MIX1 = np.uint64(_bits._MIX1)
+_MIX2 = np.uint64(_bits._MIX2)
 _GUARD = 1e-9
 
 
@@ -42,7 +46,7 @@ def induced_stats(beta, a, b, domain_max, n_cap, x0, steps, seed):
     tau1 = 0
     offsets = np.arange(count, dtype=np.uint64) * np.uint64(steps)
     for k in range(steps):
-        z = _raw(seed, 0, offsets + np.uint64(k))
+        z = _raw(seed, _bits.STREAM_COIN, offsets + np.uint64(k))
         bits = (z >> np.uint64(63)).astype(np.float64)
         x = beta * x - bits
         t = np.ones(count, dtype=np.int64)
@@ -74,11 +78,10 @@ def chain_sample(cum_rows, start_cum, steps, seed):
     """
     m = len(start_cum)
     idx = np.arange(steps, dtype=np.uint64)
-    z = _raw(seed, 0x8BB84B93962EACC9, idx)
+    z = _raw(seed, _bits.STREAM_CHAIN, idx)
     u = (z >> np.uint64(11)) * 2.0 ** -53
     rows = [list(row) for row in cum_rows]
     out = np.empty(steps, dtype=np.int8)
-    from bisect import bisect_right
     state = min(bisect_right(list(start_cum), u[0]), m - 1)
     out[0] = state
     for k in range(1, steps):

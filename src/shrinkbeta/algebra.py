@@ -15,6 +15,7 @@ residuals flatten.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -72,10 +73,21 @@ def _poly(n: int, factor):
     return f, fprime
 
 
-def _solve_poly(n: int, factor, precision: int | None):
-    """Largest root in (1, 2): bisection to tolerance, then Newton."""
+def _check_args(n, precision) -> None:
+    # runs before the root cache: 3.0 and np.int64(3) hash like 3
     if not isinstance(n, int) or n < 3:
         raise ValueError(f"n must be an integer >= 3, got {n!r}")
+    if precision is not None and precision < 100:
+        raise ValueError("extended precision needs >= 100 bits")
+
+
+@functools.lru_cache(maxsize=None)
+def _solve_poly(n: int, factor, precision: int | None):
+    """Largest root in (1, 2): bisection to tolerance, then Newton.
+
+    Cached: each root is solved once per process. Callers check their
+    arguments first (`_check_args`).
+    """
     f, fp = _poly(n, factor)
     if precision is None:
         lo, hi = 1.0, 2.0
@@ -96,8 +108,6 @@ def _solve_poly(n: int, factor, precision: int | None):
             raise InvariantViolationError(
                 f"root residual {abs(f(x)) / scale:.3e} above tolerance at n={n}")
         return x
-    if precision < 100:
-        raise ValueError("extended precision needs >= 100 bits")
     with mpmath.workprec(precision + 20):
         lo, hi = mpmath.mpf(1), mpmath.mpf(2)
         for _ in range(80):
@@ -121,6 +131,7 @@ def solve_beta(n: int, precision: int | None = None) -> AlgebraicBeta:
     precision=None uses doubles; an integer is an mpmath significand width in
     bits (>= 100), in which case all fields are mpf values.
     """
+    _check_args(n, precision)
     beta = _solve_poly(n, 1, precision)
     a = 1 / (beta * beta - 1)
     b = beta * a
@@ -132,6 +143,7 @@ def solve_beta(n: int, precision: int | None = None) -> AlgebraicBeta:
 
 def solve_lambda(n: int, precision: int | None = None) -> PerronValue:
     """Solve for lambda_n (largest root of x^n = 2(1 + x + ... + x^(n-2)))."""
+    _check_args(n, precision)
     lam = _solve_poly(n, 2, precision)
     if not (1 < lam < 2):
         raise InvariantViolationError(f"lambda out of (1,2) at n={n}: {lam!r}")
@@ -167,28 +179,3 @@ def eval_word(word, beta):
         v = (v + w) / beta
     tail = beta ** (-len(digits)) / (beta - 1)
     return v, tail
-
-
-def grid_sign_changes(f, lo: float, hi: float, num: int) -> int:
-    """Count strict sign changes of f on a uniform grid of `num` points."""
-    xs = [lo + (hi - lo) * i / (num - 1) for i in range(num)]
-    vals = [f(x) for x in xs]
-    changes = 0
-    for v0, v1 in zip(vals, vals[1:]):
-        if v0 == 0 or v1 == 0:
-            continue
-        if (v0 < 0) != (v1 < 0):
-            changes += 1
-    return changes
-
-
-def beta_defining_poly(n: int):
-    """The callable x -> x^n - (x^(n-2) + ... + 1), for root-locating tests."""
-    f, _ = _poly(n, 1)
-    return f
-
-
-def lambda_defining_poly(n: int):
-    """The callable x -> x^n - 2(x^(n-2) + ... + 1)."""
-    f, _ = _poly(n, 2)
-    return f

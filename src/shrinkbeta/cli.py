@@ -54,14 +54,6 @@ def _scale(value: float, log_base: str) -> float:
     return value / _LN2 if log_base == "2" else value
 
 
-def _parse_range(text: str):
-    lo, sep, hi = text.partition("..")
-    if not sep:
-        value = int(lo)
-        return value, value
-    return int(lo), int(hi)
-
-
 def cmd_constants(args) -> int:
     bits = None if args.precision == "double" else int(args.precision)
     ctx = solve_beta(args.n, bits)
@@ -231,11 +223,9 @@ def cmd_parry(args) -> int:
 
 def cmd_verify(args) -> int:
     kwargs = {"seed": args.seed}
-    if args.n is not None:
-        lo, hi = _parse_range(args.n)
-        kwargs["n_values"] = tuple(range(lo, hi + 1))
-    elif args.n_range is not None:
-        lo, hi = _parse_range(args.n_range)
+    n_range = args.n or args.n_range
+    if n_range is not None:
+        lo, hi = n_range
         kwargs["n_values"] = tuple(range(lo, hi + 1))
     if args.corrupt_adjacency:
         kwargs["corrupt_adjacency"] = True
@@ -271,7 +261,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_entropy(args) -> int:
-    lo, hi = _parse_range(args.n_range) if args.n_range else (3, args.n or 30)
+    lo, hi = args.n_range or (3, args.n or 30)
     if args.precision == "double":
         rows = markov.check_inequality(hi)
     else:
@@ -321,6 +311,16 @@ def _int_ge3(text: str) -> int:
     return value
 
 
+def _n_range(text: str):
+    """'A..B' or a single 'A' as (lo, hi), with 3 <= lo <= hi."""
+    lo, sep, hi = text.partition("..")
+    lo = _int_ge3(lo)
+    hi = _int_ge3(hi) if sep else lo
+    if lo > hi:
+        raise argparse.ArgumentTypeError(f"empty range {text!r}")
+    return lo, hi
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="shrinkbeta",
@@ -368,9 +368,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", choices=("gls", "symbolic", "markov",
                                        "measures", "all"), default="all")
-    p.add_argument("--n", default=None,
+    p.add_argument("--n", type=_n_range, default=None,
                    help="single n or range A..B for the suite")
-    p.add_argument("--n-range", dest="n_range", default=None,
+    p.add_argument("--n-range", type=_n_range, dest="n_range", default=None,
                    help="range A..B (same as --n A..B)")
     p.add_argument("--seed", type=int, default=verify._DEFAULT_SEED)
     p.add_argument("--format", choices=("csv", "json"), default="json")
@@ -381,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("entropy", help="entropy-margin table over a range")
     p.add_argument("--n", type=_int_ge3, default=None)
-    p.add_argument("--n-range", dest="n_range", default=None)
+    p.add_argument("--n-range", type=_n_range, dest="n_range", default=None)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--samples", type=int, default=0)
     p.add_argument("--precision", default="double")

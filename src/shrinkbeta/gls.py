@@ -138,26 +138,6 @@ def lazy_breakpoints(ctx: AlgebraicBeta) -> GlsPartition:
                         return_times=rts)
 
 
-def apply_greedy(x, part: GlsPartition):
-    """One greedy step; x must lie in [a, b). Returns (image, return_time)."""
-    if part.side != "greedy":
-        raise ValueError("partition is not the greedy side")
-    return part.apply(x)
-
-
-def apply_lazy(x, part: GlsPartition):
-    """One lazy step; x must lie in (a, b]. Returns (image, return_time).
-
-    By construction this agrees with the reflection
-    domain_max - apply_greedy(domain_max - x) to rounding error; applying
-    the branch's own affine data avoids falling out of the mirrored domain
-    by one ulp at the endpoints.
-    """
-    if part.side != "lazy":
-        raise ValueError("partition is not the lazy side")
-    return part.apply(x)
-
-
 def return_time_vector(ctx: AlgebraicBeta) -> ReturnTimeVector:
     """Return-time law from greedy branch lengths: pi_t = |branch_t|/(b-a).
 

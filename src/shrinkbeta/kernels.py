@@ -7,7 +7,7 @@ Prefers the compiled extension and falls back to the numpy implementation;
 
 import numpy as np
 
-from ._bits import _MASK, STREAM_CHAIN, STREAM_START
+from ._bits import _MASK, STREAM_CHAIN, STREAM_COIN, STREAM_START
 from .errors import InvariantViolationError, OrbitEscapeError
 
 try:
@@ -47,6 +47,8 @@ def induced_stats(ctx, x0, steps: int, seed: int, backend=None):
 
 def chain_sample(cum_rows, start_cum, steps: int, seed: int):
     """Seeded Markov path from cumulative rows; int8 states."""
+    if steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps!r}")
     cum_rows = np.ascontiguousarray(cum_rows, dtype=np.float64)
     start_cum = np.ascontiguousarray(start_cum, dtype=np.float64)
     return _impl.chain_sample(cum_rows, start_cum, int(steps),
@@ -70,5 +72,5 @@ def uniform_starts(seed: int, count: int, lo: float, hi: float):
 def coin_bits(seed: int, count: int):
     """First `count` coin bits of the scalar stream, vectorized."""
     idx = np.arange(count, dtype=np.uint64)
-    z = _pure._raw(int(seed) & _MASK, 0, idx)
+    z = _pure._raw(int(seed) & _MASK, STREAM_COIN, idx)
     return (z >> np.uint64(63)).astype(np.uint8)

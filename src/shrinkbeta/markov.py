@@ -214,19 +214,20 @@ def eigen_closed_form(lam, n: int):
     inv_cd = math.fsum(float(a) * float(b) for a, b in zip(u_unit, v))
     cd = 1.0 / inv_cd
     u = cd * u_unit
-    s_mat = build_adjacency(n)
-    _check_eigen_residual(s_mat, lam, u, v)
-    return u, v, cd
-
-
-def _check_eigen_residual(s_mat, lam, u, v):
-    v_hat = v / np.abs(v).max()
-    u_hat = u / np.abs(u).max()
-    res_v = np.abs(s_mat @ v_hat - lam * v_hat).max()
-    res_u = np.abs(u_hat @ s_mat - lam * u_hat).max()
+    res_v, res_u = _residuals(build_adjacency(n), lam, u, v)
     if res_v > _EIGEN_TOL or res_u > _EIGEN_TOL:
         raise InvariantViolationError(
             f"eigen residuals too large: right {res_v:.3e}, left {res_u:.3e}")
+    return u, v, cd
+
+
+def _residuals(s_mat, lam, u, v):
+    """Right and left residuals of (lam, u, v) against s_mat, each vector
+    scaled to unit infinity norm first."""
+    v_hat = v / np.abs(v).max()
+    u_hat = u / np.abs(u).max()
+    return (float(np.abs(s_mat @ v_hat - lam * v_hat).max()),
+            float(np.abs(u_hat @ s_mat - lam * u_hat).max()))
 
 
 def eigen_residuals(n: int, adjacency=None):
@@ -234,10 +235,7 @@ def eigen_residuals(n: int, adjacency=None):
     lam = solve_lambda(n).lam
     u, v, _ = eigen_closed_form(lam, n)
     s_mat = build_adjacency(n) if adjacency is None else adjacency
-    v_hat = v / np.abs(v).max()
-    u_hat = u / np.abs(u).max()
-    return (float(np.abs(s_mat @ v_hat - lam * v_hat).max()),
-            float(np.abs(u_hat @ s_mat - lam * u_hat).max()))
+    return _residuals(s_mat, lam, u, v)
 
 
 def parry_measure(adjacency, lam, u, v):
@@ -325,18 +323,16 @@ def check_inequality(n_max: int, extended_threshold: int = EXTENDED_THRESHOLD,
         raise ValueError("n_max must be >= 3")
     rows = []
     for n in range(3, n_max + 1):
-        if n <= extended_threshold:
-            lam = solve_lambda(n).lam
-            h_ind = induced_parry_entropy(n)
-            h_max = math.log(2 * n - 2)
+        precision = None if n <= extended_threshold else bits
+        lam = solve_lambda(n, precision).lam
+        h_ind = induced_parry_entropy(n, precision)
+        h_max = math.log(2 * n - 2)
+        if precision is None:
             margin = h_max - h_ind
         else:
-            lam_mp = solve_lambda(n, bits).lam
             with mpmath.workprec(bits):
-                h_ind_mp = mpmath.log(lam_mp) * _inv_cd_direct(lam_mp, n) / lam_mp ** n
-                margin_mp = mpmath.log(2 * n - 2) - h_ind_mp
-            lam, h_ind = float(lam_mp), float(h_ind_mp)
-            h_max, margin = math.log(2 * n - 2), float(margin_mp)
+                margin = mpmath.log(2 * n - 2) - h_ind
+        lam, h_ind, margin = float(lam), float(h_ind), float(margin)
         if margin <= 0:
             raise InequalityViolationError(
                 f"entropy margin non-positive at n={n}: {margin!r}")

@@ -22,16 +22,17 @@ finite here because tau <= n. The lift lives on Omega x [T1(a), T0(b)].
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import AlgebraicBeta
+from .algebra import AlgebraicBeta, solve_lambda
 from .errors import InvariantViolationError
 from .gls import greedy_breakpoints, lazy_breakpoints, return_time_law
-from .markov import _inv_cd_direct, induced_parry_entropy, solve_lambda
+from .markov import _inv_cd_direct, induced_parry_entropy
 
 _REFINE_TOL = 1e-14
 _MAX_DEPTH = 200
@@ -90,22 +91,19 @@ def bernoulli_mass(bits, p: float) -> float:
     return m
 
 
-def _branch_interval(gp, lp, coin: int, t: int):
-    """Domain of the branch with the given coin and return time."""
-    n = gp.n
-    if coin == 1:
-        i = n - t
-        return gp.breakpoints[i], gp.breakpoints[i + 1]
-    i = t - 2
-    return lp.breakpoints[i], lp.breakpoints[i + 1]
-
-
-def _branch_affine(gp, lp, coin: int, t: int):
-    if coin == 1:
-        i = gp.n - t
-        return gp.slopes[i], gp.offsets[i]
-    i = t - 2
-    return lp.slopes[i], lp.offsets[i]
+@functools.lru_cache(maxsize=None)
+def _branches(ctx: AlgebraicBeta) -> dict:
+    """(coin, t) -> (lo, hi, slope, offset) for every branch of the induced
+    map: its domain [lo, hi] and its action x -> slope*x - offset. Coin 1
+    takes the greedy side, coin 0 the lazy side. Built once per context."""
+    table = {}
+    for coin, side in ((1, greedy_breakpoints), (0, lazy_breakpoints)):
+        part = side(ctx)
+        bp = part.breakpoints
+        for i, t in enumerate(part.return_times):
+            table[coin, t] = (bp[i], bp[i + 1], part.slopes[i],
+                              part.offsets[i])
+    return table
 
 
 def cylinder_preimage_interval(spec: CylinderSpec, ctx: AlgebraicBeta):
@@ -115,15 +113,13 @@ def cylinder_preimage_interval(spec: CylinderSpec, ctx: AlgebraicBeta):
     All branches are affine and increasing, so the result is an interval;
     it is never empty for valid letters (the coding is onto the full shift).
     """
-    gp = greedy_breakpoints(ctx)
-    lp = lazy_breakpoints(ctx)
     for t in spec.rts:
         if t > ctx.n:
             raise ValueError(f"return time {t} exceeds n={ctx.n}")
-    lo, hi = _branch_interval(gp, lp, spec.coins[-1], spec.rts[-1])
+    branches = _branches(ctx)
+    lo, hi, _, _ = branches[spec.coins[-1], spec.rts[-1]]
     for coin, t in zip(reversed(spec.coins[:-1]), reversed(spec.rts[:-1])):
-        s, o = _branch_affine(gp, lp, coin, t)
-        d_lo, d_hi = _branch_interval(gp, lp, coin, t)
+        d_lo, d_hi, s, o = branches[coin, t]
         lo, hi = max(d_lo, (lo + o) / s), min(d_hi, (hi + o) / s)
         if not lo < hi:
             raise InvariantViolationError(
@@ -190,8 +186,7 @@ def _product_rectangle(nu: InducedMeasureSpec, ctx: AlgebraicBeta,
     targets that resolve at finite depth: whole-interval targets, branch
     domains, or symbolic cylinder preimages.
     """
-    gp = greedy_breakpoints(ctx)
-    lp = lazy_breakpoints(ctx)
+    branches = _branches(ctx)
     law = nu.law(ctx)
     letters = [(c, t) for c in (0, 1) for t in law]
     p = nu.p
@@ -230,13 +225,12 @@ def _product_rectangle(nu: InducedMeasureSpec, ctx: AlgebraicBeta,
                 continue
             if depth == 0 and t < min_first_rt:
                 continue
-            d_lo, d_hi = _branch_interval(gp, lp, coin, t)
+            d_lo, d_hi, s, o = branches[coin, t]
             # child starts satisfy F(x) in [d_lo, d_hi]
             c_lo = max(j_lo, (d_lo + o_acc) / s_acc)
             c_hi = min(j_hi, (d_hi + o_acc) / s_acc)
             if not c_lo < c_hi:
                 continue
-            s, o = _branch_affine(gp, lp, coin, t)
             w = weight * (p if coin else 1.0 - p) * law[t]
             stack.append((depth + 1, c_lo, c_hi, s * s_acc,
                           s * o_acc + o, w))
@@ -433,9 +427,9 @@ def block_entropy(sample, block_len: int, alphabet_size: int) -> float:
     return float(-(freqs * np.log(freqs)).sum())
 
 
-def empirical_entropy(sample, block_len: int,
-                      alphabet_size: int = None) -> float:
-    """Per-symbol block entropy -(1/L) sum f log f over length-L blocks."""
+def _checked_sample(sample, block_len: int, alphabet_size):
+    """The sample as int64 and the alphabet size, after checking that every
+    length-block_len block can appear about 100 times."""
     sample = np.asarray(sample, dtype=np.int64)
     if alphabet_size is None:
         alphabet_size = int(sample.max()) + 1 if sample.size else 0
@@ -443,6 +437,13 @@ def empirical_entropy(sample, block_len: int,
         raise ValueError(
             f"need >= {100 * alphabet_size ** block_len} symbols for "
             f"block length {block_len}, got {sample.size}")
+    return sample, alphabet_size
+
+
+def empirical_entropy(sample, block_len: int,
+                      alphabet_size: int = None) -> float:
+    """Per-symbol block entropy -(1/L) sum f log f over length-L blocks."""
+    sample, alphabet_size = _checked_sample(sample, block_len, alphabet_size)
     return block_entropy(sample, block_len, alphabet_size) / block_len
 
 
@@ -453,24 +454,8 @@ def entropy_rate_estimate(sample, block_len: int,
     Unlike the per-symbol average, this converges to the true rate for
     Markov sources once block_len exceeds the memory length.
     """
-    sample = np.asarray(sample, dtype=np.int64)
-    if alphabet_size is None:
-        alphabet_size = int(sample.max()) + 1 if sample.size else 0
-    if sample.size < 100 * alphabet_size ** block_len:
-        raise ValueError(
-            f"need >= {100 * alphabet_size ** block_len} symbols for "
-            f"block length {block_len}, got {sample.size}")
+    sample, alphabet_size = _checked_sample(sample, block_len, alphabet_size)
     if block_len == 1:
         return block_entropy(sample, 1, alphabet_size)
     return (block_entropy(sample, block_len, alphabet_size)
             - block_entropy(sample, block_len - 1, alphabet_size))
-
-
-def sample_return_times(law: dict, count: int, seed: int):
-    """Seeded iid sample from a return-time law, via inverse transform."""
-    from . import kernels
-    ts = sorted(law)
-    cum = np.cumsum([law[t] for t in ts])
-    u = kernels.uniform_array(seed, count)
-    idx = np.minimum(np.searchsorted(cum, u, side="right"), len(ts) - 1)
-    return np.asarray(ts, dtype=np.int64)[idx]

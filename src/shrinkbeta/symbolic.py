@@ -147,10 +147,3 @@ def mme_entropy(n: int) -> float:
     if not isinstance(n, int) or n < 3:
         raise ValueError(f"n must be an integer >= 3, got {n!r}")
     return math.log(2 * (n - 1))
-
-
-def mme_letter_probability(n: int) -> float:
-    """Per-letter weight of the uniform product measure on the full shift."""
-    if not isinstance(n, int) or n < 3:
-        raise ValueError(f"n must be an integer >= 3, got {n!r}")
-    return 1.0 / (2 * (n - 1))

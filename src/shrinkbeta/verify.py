@@ -18,8 +18,8 @@ import numpy as np
 from . import kernels, markov, measures, symbolic
 from .algebra import solve_beta, solve_lambda
 from .dynamics import CoinStream, PointState, return_time
-from .gls import (apply_greedy, apply_lazy, greedy_breakpoints,
-                  lazy_breakpoints, return_time_law, return_time_vector)
+from .gls import (greedy_breakpoints, lazy_breakpoints, return_time_law,
+                  return_time_vector)
 
 _DEFAULT_SEED = 20260814
 
@@ -59,7 +59,9 @@ def gls_suite(n_values=(3, 4, 5, 8, 12, 20), seed=_DEFAULT_SEED):
     for n in n_values:
         ctx = solve_beta(n)
         width = ctx.b - ctx.a
-        for part in (greedy_breakpoints(ctx), lazy_breakpoints(ctx)):
+        gp = greedy_breakpoints(ctx)
+        lp = lazy_breakpoints(ctx)
+        for part in (gp, lp):
             side = part.side
             gaps = part.branch_lengths()
             rows.append(_flag_row("breakpoints-increasing", n, f"side={side}",
@@ -79,14 +81,12 @@ def gls_suite(n_values=(3, 4, 5, 8, 12, 20), seed=_DEFAULT_SEED):
                              surj, 0.0, 1e-9))
             rows.append(_row("slope-reciprocal-sum", n, f"side={side}",
                              sum(1.0 / s for s in part.slopes), 1.0, 1e-12))
-        gp = greedy_breakpoints(ctx)
-        lp = lazy_breakpoints(ctx)
         # piecewise maps agree with the coin-driven first-return orbit
         xs = kernels.uniform_starts(seed + n, 40, ctx.a + 1e-9, ctx.b - 1e-9)
         worst_img, worst_rt = 0.0, 0
         for x in xs:
-            for bit, part, fn in ((1, gp, apply_greedy), (0, lp, apply_lazy)):
-                y, t = fn(float(x), part)
+            for bit, part in ((1, gp), (0, lp)):
+                y, t = part.apply(float(x))
                 res = return_time(
                     PointState(CoinStream.explicit([bit]), float(x)), ctx)
                 worst_img = max(worst_img, abs(y - res.state.x))
@@ -96,9 +96,9 @@ def gls_suite(n_values=(3, 4, 5, 8, 12, 20), seed=_DEFAULT_SEED):
         rows.append(_row("induced-orbit-time-match", n, "bits=0,1",
                          float(worst_rt), 0.0, 0.0))
         # lazy = reflection of greedy through x -> domain_max - x
-        refl = max(abs(apply_lazy(float(x), lp)[0]
-                       - (ctx.domain_max - apply_greedy(ctx.domain_max - float(x), gp)[0]))
-                   for x in xs)
+        m = ctx.domain_max
+        refl = max(abs(lp.apply(float(x))[0]
+                       - (m - gp.apply(m - float(x))[0])) for x in xs)
         rows.append(_row("lazy-greedy-reflection", n, "", refl, 0.0, 1e-12))
         law = return_time_law(ctx)
         vec = return_time_vector(ctx)
@@ -320,8 +320,7 @@ def _pullback_worst(ctx, n, depth, p):
     weighted preimage lengths must add back up to |J(w)|. Returns the worst
     endpoint deviation, the worst relative mass deviation and the word count.
     """
-    gp = greedy_breakpoints(ctx)
-    lp = lazy_breakpoints(ctx)
+    branches = measures._branches(ctx)
     width = ctx.b - ctx.a
     end_dev = 0.0
     mass_dev = 0.0
@@ -337,7 +336,7 @@ def _pullback_worst(ctx, n, depth, p):
                 plo, phi = measures.cylinder_preimage_interval(
                     measures.CylinderSpec(coins=(c,) + coins,
                                           rts=(t,) + rts), ctx)
-                slope, offset = measures._branch_affine(gp, lp, c, t)
+                _, _, slope, offset = branches[c, t]
                 end_dev = max(end_dev,
                               abs(slope * plo - offset - lo),
                               abs(slope * phi - offset - hi))

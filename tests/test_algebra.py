@@ -3,11 +3,11 @@
 import math
 
 import mpmath
+import numpy as np
 import pytest
 
-from shrinkbeta.algebra import (AlgebraicBeta, beta_defining_poly, eval_word,
-                                grid_sign_changes, lambda_defining_poly,
-                                solve_beta, solve_lambda)
+from shrinkbeta.algebra import (AlgebraicBeta, eval_word, solve_beta,
+                                solve_lambda)
 
 # frozen from 50-digit mpmath evaluations of the defining polynomials
 BETA3 = 1.324717957244746
@@ -19,6 +19,23 @@ B3 = 1.7548776662466923
 DOMAIN_MAX3 = 3.0795956234914383
 
 GOLDEN = (1 + math.sqrt(5)) / 2
+
+
+def beta_defining_poly(n):
+    """x -> x^n - (x^(n-2) + ... + 1)."""
+    return lambda x: x ** n - sum(x ** i for i in range(n - 1))
+
+
+def lambda_defining_poly(n):
+    """x -> x^n - 2(x^(n-2) + ... + 1)."""
+    return lambda x: x ** n - 2 * sum(x ** i for i in range(n - 1))
+
+
+def grid_sign_changes(f, lo, hi, num):
+    """Count strict sign changes of f on a uniform grid of `num` points."""
+    vals = [f(lo + (hi - lo) * i / (num - 1)) for i in range(num)]
+    return sum(1 for v0, v1 in zip(vals, vals[1:])
+               if v0 != 0 and v1 != 0 and (v0 < 0) != (v1 < 0))
 
 
 def test_beta3_context_frozen_values():
@@ -93,6 +110,15 @@ def test_small_n_rejected(bad):
         solve_beta(bad)
     with pytest.raises(ValueError):
         solve_lambda(bad)
+
+
+@pytest.mark.parametrize("solve", [solve_beta, solve_lambda])
+@pytest.mark.parametrize("bad", [3.0, np.int64(3)], ids=["float", "numpy-int"])
+def test_non_int_n_rejected_after_cached_solve(solve, bad):
+    # both equal 3 and hash like it, so the check must run before the cache
+    solve(3)
+    with pytest.raises(ValueError, match="integer >= 3"):
+        solve(bad)
 
 
 def test_eval_word_geometric_tail():

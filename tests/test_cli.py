@@ -71,9 +71,16 @@ def test_constants_csv_matches_json(capsys):
 
 
 def test_n_below_three_is_usage_error():
-    with pytest.raises(SystemExit) as err:
-        main(["constants", "--n", "2"])
-    assert err.value.code == 2
+    # also non-integers and empty ranges wherever an n range is read
+    for argv in (["constants", "--n", "2"],
+                 ["verify", "--n", "abc"],
+                 ["verify", "--n", "2..3"],
+                 ["verify", "--n-range", "4..3"],
+                 ["entropy", "--n-range", "5..3"],
+                 ["entropy", "--n-range", "1..4"]):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2, argv
 
 
 def test_missing_subcommand_is_usage_error():

@@ -6,8 +6,7 @@ import pytest
 
 from shrinkbeta.algebra import solve_beta
 from shrinkbeta.errors import InvariantViolationError
-from shrinkbeta.gls import (GlsPartition, apply_greedy, apply_lazy,
-                            greedy_breakpoints, lazy_breakpoints,
+from shrinkbeta.gls import (GlsPartition, greedy_breakpoints, lazy_breakpoints,
                             return_time_law, return_time_vector)
 from shrinkbeta.kernels import uniform_starts
 
@@ -34,9 +33,9 @@ def test_breakpoints_frozen_n3():
 def test_apply_frozen_values():
     gp = greedy_breakpoints(CTX3)
     lp = lazy_breakpoints(CTX3)
-    y, t = apply_greedy(1.60, gp)
+    y, t = gp.apply(1.60)
     assert (y, t) == (pytest.approx(GREEDY_IMAGE_160, abs=1e-15), 2)
-    y, t = apply_lazy(1.45, lp)
+    y, t = lp.apply(1.45)
     assert (y, t) == (pytest.approx(LAZY_IMAGE_145, abs=1e-15), 2)
 
 
@@ -76,8 +75,8 @@ def test_lazy_is_reflected_greedy():
     xs = uniform_starts(99, 50, ctx.a + 1e-9, ctx.b - 1e-9)
     for x in xs:
         x = float(x)
-        y_lazy, t_lazy = apply_lazy(x, lp)
-        y_refl, t_refl = apply_greedy(m - x, gp)
+        y_lazy, t_lazy = lp.apply(x)
+        y_refl, t_refl = gp.apply(m - x)
         assert y_lazy == pytest.approx(m - y_refl, abs=1e-12)
         assert t_lazy == t_refl
 
@@ -95,15 +94,6 @@ def test_branch_of_halfopen_conventions():
     assert lp.branch_of(lp.breakpoints[1]) == 0
     with pytest.raises(ValueError):
         lp.branch_of(CTX3.a)
-
-
-def test_apply_rejects_wrong_side():
-    gp = greedy_breakpoints(CTX3)
-    lp = lazy_breakpoints(CTX3)
-    with pytest.raises(ValueError):
-        apply_greedy(1.5, lp)
-    with pytest.raises(ValueError):
-        apply_lazy(1.5, gp)
 
 
 def test_return_time_vector_matches_closed_form():

@@ -147,6 +147,13 @@ def test_compiled_request_without_build():
         kernels.induced_stats(CTX, np.array([1.5]), 1, 1, backend="compiled")
 
 
+@pytest.mark.parametrize("steps", [0, -1])
+def test_chain_sample_rejects_empty_path(steps):
+    cum_rows = np.array([[0.5, 1.0], [0.25, 1.0]])
+    with pytest.raises(ValueError, match="steps"):
+        kernels.chain_sample(cum_rows, np.array([0.5, 1.0]), steps, seed=9)
+
+
 def test_chain_sample_inverse_transform():
     cum_rows = np.array([[0.5, 1.0], [0.25, 1.0]])
     start_cum = np.array([1.0, 1.0])  # always start in state 0

