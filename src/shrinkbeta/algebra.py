@@ -73,12 +73,17 @@ def _poly(n: int, factor):
     return f, fprime
 
 
+# narrowest mpmath significand the extended-precision paths accept
+MIN_PRECISION = 100
+
+
 def _check_args(n, precision) -> None:
     # runs before the root cache: 3.0 and np.int64(3) hash like 3
     if not isinstance(n, int) or n < 3:
         raise ValueError(f"n must be an integer >= 3, got {n!r}")
-    if precision is not None and precision < 100:
-        raise ValueError("extended precision needs >= 100 bits")
+    if precision is not None and precision < MIN_PRECISION:
+        raise ValueError(
+            f"extended precision needs >= {MIN_PRECISION} bits")
 
 
 @functools.lru_cache(maxsize=None)

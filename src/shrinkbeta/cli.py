@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import kernels, markov, measures, verify
-from .algebra import solve_beta, solve_lambda
+from .algebra import MIN_PRECISION, solve_beta, solve_lambda
 from .dynamics import (CoinStream, PointState, orbit, orbit_to_csv,
                        return_time, step)
 from .errors import ShrinkBetaError
@@ -26,6 +26,12 @@ from .gls import return_time_law
 from .symbolic import mme_entropy
 
 _LN2 = math.log(2.0)
+# `entropy --samples` samples the chains of n up to this
+_SAMPLED_N_MAX = 8
+
+
+class UsageError(Exception):
+    """Arguments that parse but do not fit together; exit code 2."""
 
 
 def _fmt(x) -> str:
@@ -55,7 +61,7 @@ def _scale(value: float, log_base: str) -> float:
 
 
 def cmd_constants(args) -> int:
-    bits = None if args.precision == "double" else int(args.precision)
+    bits = args.precision
     ctx = solve_beta(args.n, bits)
     lam = solve_lambda(args.n, bits).lam
     if bits is None:
@@ -193,7 +199,17 @@ def cmd_markov(args) -> int:
     return 0
 
 
+def _check_chain_samples(samples: int, n: int) -> None:
+    """The entropy-rate estimate needs about 100 draws per state pair of
+    the (2n-1)-state chain; 0 means no sampling."""
+    need = 100 * (2 * n - 1) ** 2
+    if samples != 0 and samples < need:
+        raise UsageError(f"--samples must be 0 or >= {need} for n={n}, "
+                         f"got {samples}")
+
+
 def cmd_parry(args) -> int:
+    _check_chain_samples(args.samples, args.n)
     chain = markov.build_chain(args.n)
     h = markov.entropy_rate(chain.p, chain.P_trans)
     report = {
@@ -262,11 +278,13 @@ def cmd_verify(args) -> int:
 
 def cmd_entropy(args) -> int:
     lo, hi = args.n_range or (3, args.n or 30)
-    if args.precision == "double":
+    if lo <= _SAMPLED_N_MAX:
+        _check_chain_samples(args.samples, min(hi, _SAMPLED_N_MAX))
+    if args.precision is None:
         rows = markov.check_inequality(hi)
     else:
         rows = markov.check_inequality(hi, extended_threshold=0,
-                                       bits=int(args.precision))
+                                       bits=args.precision)
     rows = [r for r in rows if r.n >= lo]
     out_rows = []
     for r in rows:
@@ -276,7 +294,7 @@ def cmd_entropy(args) -> int:
             "h_induced": _jnum(_scale(r.h_induced, args.log_base)),
             "margin": _jnum(_scale(r.margin, args.log_base)),
         }
-        if args.samples > 0 and r.n <= 8:
+        if args.samples > 0 and r.n <= _SAMPLED_N_MAX:
             chain = markov.build_chain(r.n)
             path = markov.sample_chain(chain, args.samples, args.seed)
             est = measures.entropy_rate_estimate(np.asarray(path), 2,
@@ -304,11 +322,30 @@ def cmd_entropy(args) -> int:
     return 0
 
 
-def _int_ge3(text: str) -> int:
-    value = int(text)
-    if value < 3:
-        raise argparse.ArgumentTypeError(f"n must be >= 3, got {value}")
-    return value
+def _at_least(minimum: int):
+    """argparse type: an integer >= minimum."""
+    def count(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {minimum}, got {value}")
+        return value
+    return count
+
+
+_int_ge3 = _at_least(3)
+
+
+def _precision(text: str):
+    """'double' as None, else an mpmath significand width in bits."""
+    if text == "double":
+        return None
+    bits = int(text)
+    if bits < MIN_PRECISION:
+        raise argparse.ArgumentTypeError(
+            f"precision must be 'double' or >= {MIN_PRECISION} bits, "
+            f"got {bits}")
+    return bits
 
 
 def _n_range(text: str):
@@ -339,19 +376,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("constants", help="derived constants for one n")
     common(p)
-    p.add_argument("--precision", default="double",
-                   help="'double' or an mpmath significand width in bits")
+    p.add_argument("--precision", type=_precision, default="double",
+                   help="'double' or an mpmath significand width in bits "
+                        f"(>= {MIN_PRECISION})")
     p.set_defaults(fn=cmd_constants)
 
     p = sub.add_parser("simulate", help="orbit CSV or bulk return-time law")
     common(p)
     p.add_argument("--x0", type=float, default=None,
                    help="start point: emit one orbit instead of bulk stats")
-    p.add_argument("--steps", type=int, default=32,
+    p.add_argument("--steps", type=_at_least(0), default=32,
                    help="orbit steps when --x0 is given")
-    p.add_argument("--samples", type=int, default=100000,
+    p.add_argument("--samples", type=_at_least(1), default=100000,
                    help="total induced steps in bulk mode")
-    p.add_argument("--points", type=int, default=1024,
+    p.add_argument("--points", type=_at_least(1), default=1024,
                    help="number of parallel start points in bulk mode")
     p.set_defaults(fn=cmd_simulate)
 
@@ -362,7 +400,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("parry", help="maximal-entropy chain and its entropy")
     common(p)
     p.add_argument("--samples", type=int, default=0,
-                   help="if > 0, sample a path and report an empirical rate")
+                   help="if not 0, sample a path of at least 100*(2n-1)^2 "
+                        "states and report an empirical rate")
     p.set_defaults(fn=cmd_parry)
 
     p = sub.add_parser("verify", help="run a verification suite")
@@ -383,8 +422,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_int_ge3, default=None)
     p.add_argument("--n-range", type=_n_range, dest="n_range", default=None)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--samples", type=int, default=0)
-    p.add_argument("--precision", default="double")
+    p.add_argument("--samples", type=int, default=0,
+                   help="if not 0, add empirical rates for n <= "
+                        f"{_SAMPLED_N_MAX} (at least 100*(2n-1)^2 states)")
+    p.add_argument("--precision", type=_precision, default="double")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--log-base", choices=("e", "2"), default="e",
                    dest="log_base")
@@ -399,6 +440,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
+    except UsageError as exc:
+        parser.error(f"{args.command}: {exc}")
     except ShrinkBetaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -36,6 +36,8 @@ from .markov import _inv_cd_direct, induced_parry_entropy
 
 _REFINE_TOL = 1e-14
 _MAX_DEPTH = 200
+# longest frontier chunk _product_rectangle expands at once
+_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -167,6 +169,13 @@ def _lebesgue_rectangle(p: float, coins, lo: float, hi: float,
     return bernoulli_mass(coins, p) * (hi - lo) / (ctx.b - ctx.a)
 
 
+def _add_in_order(total: float, values) -> float:
+    """total + values[0] + values[1] + ..., added left to right as a scalar
+    loop would (np.sum adds pairwise and math.fsum exactly, so both round
+    differently)."""
+    return float(np.cumsum(np.concatenate(([total], values)))[-1])
+
+
 def _product_rectangle(nu: InducedMeasureSpec, ctx: AlgebraicBeta,
                        coin_constraints: dict, x_lo: float, x_hi: float,
                        min_first_rt: int = 2, tol: float = _REFINE_TOL) -> float:
@@ -177,6 +186,18 @@ def _product_rectangle(nu: InducedMeasureSpec, ctx: AlgebraicBeta,
     starts consistent with it. Nodes with J inside/outside the target
     contribute fully/nothing; straddling nodes split until their weight
     drops below tol, then contribute half their weight.
+
+    The tree is walked depth-first, one numpy frontier chunk at a time. A
+    chunk is a run of the depth-first sequence: open nodes of one depth,
+    each replaced in place by its children (last letter first, the order
+    a stack pops them), and finished values that keep their place until
+    everything before them is summed. Each chunk is classified and
+    expanded with the expressions of a scalar stack walk, and its leading
+    finished values are added to the total left to right, so the result
+    is bit-identical to that walk, which visits the same nodes. Chunks
+    longer than _CHUNK are split and walked one after the other, so about
+    _CHUNK open nodes and their children are held at once, never a whole
+    level.
 
     Cost caveat: because the coin is an input, cylinders with different
     coins overlap in x, so a target endpoint interior to cylinders at every
@@ -204,36 +225,53 @@ def _product_rectangle(nu: InducedMeasureSpec, ctx: AlgebraicBeta,
         return m
 
     total = 0.0
-    # node: (depth, J_lo, J_hi, S, O, weight)
-    stack = [(0, ctx.a, ctx.b, 1.0, 0.0, 1.0)]
+    # chunk: (depth of its open nodes, open flags, rows J_lo, J_hi, S, O, m)
+    # where m is the weight of an open node and the value of a finished one
+    stack = [(0, np.ones(1, bool),
+              np.array([[ctx.a], [ctx.b], [1.0], [0.0], [1.0]]))]
     while stack:
-        depth, j_lo, j_hi, s_acc, o_acc, weight = stack.pop()
-        if j_hi <= x_lo or j_lo >= x_hi:
-            continue
+        depth, is_open, (j_lo, j_hi, s_acc, o_acc, weight) = stack.pop()
+        live = is_open & (j_hi > x_lo) & (j_lo < x_hi)
         # the root may not shortcut when a first-letter return-time
         # constraint is active: it is not encoded in the weight yet
-        if x_lo <= j_lo and j_hi <= x_hi and not (depth == 0 and min_first_rt > 2):
-            total += weight * coin_mass_from(depth)
-            continue
-        if weight <= tol or depth >= _MAX_DEPTH:
-            # straddling leaf: its mass lies between 0 and weight
-            total += 0.5 * weight * coin_mass_from(depth)
-            continue
+        inside = live & (x_lo <= j_lo) & (j_hi <= x_hi)
+        if depth == 0 and min_first_rt > 2:
+            inside[:] = False
+        # straddling leaf: its mass lies between 0 and weight
+        cut = live & ~inside & ((weight <= tol) | (depth >= _MAX_DEPTH))
+        split = live & ~inside & ~cut
+        mass = coin_mass_from(depth)
+        value = np.where(inside, weight * mass,
+                         np.where(cut, 0.5 * weight * mass, weight))
+
         forced = coin_constraints.get(depth)
-        for coin, t in letters:
-            if forced is not None and coin != forced:
-                continue
-            if depth == 0 and t < min_first_rt:
-                continue
-            d_lo, d_hi, s, o = branches[coin, t]
+        kids = [branches[coin, t] + (p if coin else 1.0 - p, law[t])
+                for coin, t in reversed(letters)
+                if (forced is None or coin == forced)
+                and not (depth == 0 and t < min_first_rt)]
+        # slot 0 of an entry holds its finished value, slots 1.. its children
+        keep = np.zeros((len(value), len(kids) + 1), bool)
+        keep[:, 0] = ~is_open | inside | cut
+        rows = np.zeros((5,) + keep.shape)
+        rows[4, :, 0] = value
+        if kids:
+            d_lo, d_hi, s, o, coin_p, law_t = map(np.array, zip(*kids))
+            lo, hi = j_lo[split, None], j_hi[split, None]
+            s_acc, o_acc = s_acc[split, None], o_acc[split, None]
             # child starts satisfy F(x) in [d_lo, d_hi]
-            c_lo = max(j_lo, (d_lo + o_acc) / s_acc)
-            c_hi = min(j_hi, (d_hi + o_acc) / s_acc)
-            if not c_lo < c_hi:
-                continue
-            w = weight * (p if coin else 1.0 - p) * law[t]
-            stack.append((depth + 1, c_lo, c_hi, s * s_acc,
-                          s * o_acc + o, w))
+            c_lo = np.maximum(lo, (d_lo + o_acc) / s_acc)
+            c_hi = np.minimum(hi, (d_hi + o_acc) / s_acc)
+            keep[split, 1:] = c_lo < c_hi
+            rows[:, split, 1:] = (c_lo, c_hi, s * s_acc, s * o_acc + o,
+                                  weight[split, None] * coin_p * law_t)
+        is_open = keep.copy()
+        is_open[:, 0] = False
+        is_open, rows = is_open[keep], rows[:, keep]
+        head = int(is_open.argmax()) if is_open.any() else len(is_open)
+        total = _add_in_order(total, rows[4, :head])
+        for at in reversed(range(head, len(is_open), _CHUNK)):
+            stack.append((depth + 1, is_open[at:at + _CHUNK],
+                          rows[:, at:at + _CHUNK]))
     return total
 
 
@@ -342,6 +380,15 @@ def cylinder_overlap(law1, law2, depth: int) -> float:
     vectors weighted by multinomial coefficients; everything is accumulated
     in log space to survive large depths.
 
+    The count vectors are enumerated with the counts of the first letters in
+    increasing lexicographic order: a Python loop over all but the last two
+    letters, numpy over the count of the second-to-last letter, and the
+    rest on the last letter. A letter with count 0 adds nothing to the log
+    terms, every term comes from math.exp and the terms are added left to
+    right in that order, so the result is bit-identical to a scalar
+    recursion over the same count vectors. The cost is one term per count
+    vector, C(depth + A - 1, A - 1) for A letters.
+
     By Cauchy-Schwarz the result is at most (sum_j sqrt(law1_j*law2_j))**depth,
     so distinct laws drive it to zero geometrically. Used with the geometric
     and uniform return-time laws it quantifies how fast the two product
@@ -359,25 +406,36 @@ def cylinder_overlap(law1, law2, depth: int) -> float:
     logp = tuple(math.log(v) if v > 0.0 else -math.inf for v in p)
     logq = tuple(math.log(v) if v > 0.0 else -math.inf for v in q)
     last = len(p) - 1
+    lg_fact = np.array([math.lgamma(k + 1) for k in range(depth + 1)])
     total = 0.0
 
-    def scan(slot: int, remaining: int, lg: float, lp: float, lq: float):
+    def tail(remaining: int, lg: float, lp: float, lq: float):
+        # count k of letter last-1 over 0..remaining (only 0 when there is
+        # one letter), the remaining r on letter `last`
         nonlocal total
-        if slot == last:
-            if remaining:
-                lg -= math.lgamma(remaining + 1)
-                lp += remaining * logp[slot]
-                lq += remaining * logq[slot]
-            exponent = lg + min(lp, lq)
-            if exponent > -745.0:  # exp underflows to 0 below this anyway
-                total += math.exp(exponent)
+        k = np.arange(remaining + 1 if last else 1)
+        r = remaining - k
+        lg, lp, lq = (np.full(k.size, v) for v in (lg, lp, lq))
+        for at, count, slot in ((k > 0, k, last - 1), (r > 0, r, last)):
+            count = count[at]
+            lg[at] -= lg_fact[count]
+            lp[at] += count * logp[slot]
+            lq[at] += count * logq[slot]
+        exponent = lg + np.minimum(lp, lq)
+        # exp underflows to 0 below -745 anyway
+        total = _add_in_order(total, [math.exp(e) for e in
+                                      exponent[exponent > -745.0].tolist()])
+
+    def scan(slot: int, remaining: int, lg: float, lp: float, lq: float):
+        if slot >= last - 1:
+            tail(remaining, lg, lp, lq)
             return
         scan(slot + 1, remaining, lg, lp, lq)
         for k in range(1, remaining + 1):
-            scan(slot + 1, remaining - k, lg - math.lgamma(k + 1),
+            scan(slot + 1, remaining - k, lg - lg_fact[k],
                  lp + k * logp[slot], lq + k * logq[slot])
 
-    scan(0, depth, math.lgamma(depth + 1), 0.0, 0.0)
+    scan(0, depth, lg_fact[depth], 0.0, 0.0)
     return total
 
 

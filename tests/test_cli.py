@@ -1,9 +1,11 @@
 """CLI surface: artifacts, exit codes, determinism."""
 
 import csv
+import hashlib
 import io
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -81,6 +83,35 @@ def test_n_below_three_is_usage_error():
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 2, argv
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["constants", "--precision", "50"], ">= 100 bits, got 50"),
+    (["constants", "--precision", "abc"], "invalid _precision value"),
+    (["entropy", "--precision", "64", "--n", "5"], ">= 100 bits, got 64"),
+    (["simulate", "--points", "0"], "must be >= 1, got 0"),
+    (["simulate", "--samples", "0"], "must be >= 1, got 0"),
+    (["simulate", "--x0", "1.4", "--steps", "-1"], "must be >= 0, got -1"),
+    (["parry", "--n", "3", "--samples", "2499"], ">= 2500 for n=3"),
+    (["parry", "--n", "3", "--samples", "-1"], ">= 2500 for n=3"),
+    (["entropy", "--n", "4", "--samples", "4899"], ">= 4900 for n=4"),
+], ids=["precision-50", "precision-abc", "entropy-precision-64", "points-0",
+        "samples-0", "steps-negative", "parry-samples-2499",
+        "parry-samples-negative", "entropy-samples-4899"])
+def test_bad_precision_or_size_is_usage_error(argv, message, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    err_text = capsys.readouterr().err
+    assert message in err_text
+    assert "Traceback" not in err_text
+
+
+def test_chain_sample_minimum_is_inclusive(capsys):
+    # 100*(2n-1)^2 draws: the smallest sample the entropy estimate takes
+    assert main(["parry", "--n", "3", "--samples", "2500"]) == 0
+    assert "empirical_rate" in json.loads(capsys.readouterr().out)
+    assert main(["entropy", "--n", "4", "--samples", "4900"]) == 0
 
 
 def test_missing_subcommand_is_usage_error():
@@ -244,3 +275,19 @@ def test_out_file_suppresses_stdout(capsys, tmp_path):
     assert rc == 0
     assert out == ""
     assert json.loads(path.read_text())["n"] == 3
+
+
+DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "all", "--seed", "1"],
+    ["verify", "--suite", "all", "--n", "3..6", "--seed", "1"],
+], ids=["default", "n3-6"])
+def test_verify_stdout_matches_recorded_digest(argv, capsys):
+    # the benchmark's recorded sha256 of this stdout: any bit drift in a
+    # verify row (lift deviations print near 1e-11) changes the bytes
+    want = json.loads(DIGESTS.read_text())["verify-sweep"][" ".join(argv)]
+    rc, out = _run(capsys, argv)
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == want

@@ -1,11 +1,15 @@
 """Product measures, the first-return lift and entropy estimators."""
 
 import math
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from shrinkbeta import kernels
+from shrinkbeta import kernels, measures, verify
 from shrinkbeta.algebra import solve_beta
 from shrinkbeta.gls import greedy_breakpoints, lazy_breakpoints, return_time_law
 from shrinkbeta.measures import (CylinderSpec, InducedMeasureSpec,
@@ -189,3 +193,161 @@ def test_sample_return_times_law():
         freq = (sample == t).mean()
         sigma = math.sqrt(w * (1 - w) / sample.size)
         assert abs(freq - w) <= 4 * sigma
+
+
+def scalar_product_rectangle(nu, ctx, coin_constraints, x_lo, x_hi,
+                             min_first_rt=2, tol=measures._REFINE_TOL):
+    """Reference for measures._product_rectangle: the same tree walked one
+    node at a time from a stack, adding each finished node to the total."""
+    branches = measures._branches(ctx)
+    law = nu.law(ctx)
+    letters = [(c, t) for c in (0, 1) for t in law]
+    p = nu.p
+    x_lo = max(x_lo, ctx.a)
+    x_hi = min(x_hi, ctx.b)
+    if not x_lo < x_hi:
+        return 0.0
+
+    def coin_mass_from(depth):
+        m = 1.0
+        for pos, bit in coin_constraints.items():
+            if pos >= depth:
+                m *= p if bit else 1.0 - p
+        return m
+
+    total = 0.0
+    stack = [(0, ctx.a, ctx.b, 1.0, 0.0, 1.0)]
+    while stack:
+        depth, j_lo, j_hi, s_acc, o_acc, weight = stack.pop()
+        if j_hi <= x_lo or j_lo >= x_hi:
+            continue
+        if x_lo <= j_lo and j_hi <= x_hi and not (depth == 0 and min_first_rt > 2):
+            total += weight * coin_mass_from(depth)
+            continue
+        if weight <= tol or depth >= measures._MAX_DEPTH:
+            total += 0.5 * weight * coin_mass_from(depth)
+            continue
+        forced = coin_constraints.get(depth)
+        for coin, t in letters:
+            if forced is not None and coin != forced:
+                continue
+            if depth == 0 and t < min_first_rt:
+                continue
+            d_lo, d_hi, s, o = branches[coin, t]
+            c_lo = max(j_lo, (d_lo + o_acc) / s_acc)
+            c_hi = min(j_hi, (d_hi + o_acc) / s_acc)
+            if not c_lo < c_hi:
+                continue
+            w = weight * (p if coin else 1.0 - p) * law[t]
+            stack.append((depth + 1, c_lo, c_hi, s * s_acc,
+                          s * o_acc + o, w))
+    return total
+
+
+def recursive_overlap(law1, law2, depth):
+    """Reference for measures.cylinder_overlap: one recursive call per
+    letter count, one term added per count vector."""
+    logp = [math.log(v) if v > 0.0 else -math.inf for v in law1]
+    logq = [math.log(v) if v > 0.0 else -math.inf for v in law2]
+    last = len(logp) - 1
+    total = 0.0
+
+    def scan(slot, remaining, lg, lp, lq):
+        nonlocal total
+        if slot == last:
+            if remaining:
+                lg -= math.lgamma(remaining + 1)
+                lp += remaining * logp[slot]
+                lq += remaining * logq[slot]
+            exponent = lg + min(lp, lq)
+            if exponent > -745.0:
+                total += math.exp(exponent)
+            return
+        scan(slot + 1, remaining, lg, lp, lq)
+        for k in range(1, remaining + 1):
+            scan(slot + 1, remaining - k, lg - math.lgamma(k + 1),
+                 lp + k * logp[slot], lq + k * logq[slot])
+
+    scan(0, depth, math.lgamma(depth + 1), 0.0, 0.0)
+    return total
+
+
+def test_evaluators_match_references_on_every_verify_call(monkeypatch):
+    # the calls `verify --suite measures --n 3..6` makes, bit for bit
+    rect_calls, overlap_calls = [], []
+    rect, overlap = measures._product_rectangle, measures.cylinder_overlap
+
+    def record_rect(*args, **kwargs):
+        value = rect(*args, **kwargs)
+        rect_calls.append((args, kwargs, value))
+        return value
+
+    def record_overlap(*args):
+        value = overlap(*args)
+        overlap_calls.append((args, value))
+        return value
+
+    monkeypatch.setattr(measures, "_product_rectangle", record_rect)
+    monkeypatch.setattr(measures, "cylinder_overlap", record_overlap)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rows = verify.measures_suite(n_values=(3, 4, 5, 6))
+    assert all(row.passed for row in rows)
+    assert {args[1].n for args, _, _ in rect_calls} == {3, 4, 5, 6}
+    assert len(overlap_calls) == 4  # self and decay rows, n <= 4
+    for args, kwargs, value in rect_calls:
+        assert type(value) is float
+        assert value.hex() == scalar_product_rectangle(*args, **kwargs).hex()
+    for args, value in overlap_calls:
+        assert type(value) is float
+        assert value.hex() == recursive_overlap(*args).hex()
+
+
+@st.composite
+def rectangle_inputs(draw):
+    n = draw(st.integers(3, 6))
+    ctx = solve_beta(n)
+    weights = draw(st.lists(st.floats(0.05, 1.0), min_size=n - 1,
+                            max_size=n - 1))
+    nu = InducedMeasureSpec(kind="product", p=draw(st.floats(0.05, 0.95)),
+                            pi=tuple(w / sum(weights) for w in weights))
+    constraints = draw(st.dictionaries(st.integers(0, 4), st.integers(0, 1),
+                                       max_size=3))
+    # endpoints anywhere in and around [a, b]: most targets straddle
+    # cylinders at every depth, so the tolerance bounds the tree
+    ends = sorted(draw(st.lists(st.floats(ctx.a - 0.05, ctx.b + 0.05),
+                                min_size=2, max_size=2)))
+    return (nu, ctx, constraints, ends[0], ends[1],
+            draw(st.integers(2, n)), draw(st.sampled_from([1e-3, 1e-5])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(args=rectangle_inputs(), chunk=st.sampled_from([1, 5, 1024]))
+def test_product_rectangle_matches_scalar_walk(args, chunk):
+    # chunk 1 and 5 split the frontier into many pieces
+    with mock.patch.object(measures, "_CHUNK", chunk), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        value = measures._product_rectangle(*args)
+    assert value.hex() == scalar_product_rectangle(*args).hex()
+
+
+@st.composite
+def overlap_inputs(draw):
+    size = draw(st.integers(1, 4))
+    entry = st.one_of(st.just(0.0), st.floats(1e-6, 1.0))
+    laws = [draw(st.lists(entry, min_size=size, max_size=size))
+            for _ in range(2)]
+    # four letters have C(depth + 3, 3) count vectors: keep the
+    # recursive reference quick
+    depth = draw(st.integers(0, 300 if size < 4 else 40))
+    return laws[0], laws[1], depth
+
+
+@settings(max_examples=60, deadline=None)
+@given(args=overlap_inputs())
+def test_cylinder_overlap_matches_recursion(args):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        value = cylinder_overlap(*args)
+    assert value.hex() == recursive_overlap(*args).hex()
