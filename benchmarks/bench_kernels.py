@@ -1,8 +1,10 @@
 """Compare the compiled and pure-numpy bulk kernels.
 
-Runs the first-return statistics loop on both backends for a few problem
-sizes and prints the wall times plus the speedup. The two backends are
-bit-for-bit interchangeable, so this is purely a throughput measurement.
+Runs the first-return statistics loop (`induced_stats`) and the Parry
+chain sampler (`chain_sample`) on each available backend for a few problem
+sizes and prints the best wall times plus the speedup. The two backends
+are bit-for-bit interchangeable, so this is purely a throughput
+measurement.
 
 Usage: python3 benchmarks/bench_kernels.py [--repeat 3] [--seed 1]
 """
@@ -10,50 +12,68 @@ Usage: python3 benchmarks/bench_kernels.py [--repeat 3] [--seed 1]
 import argparse
 import time
 
-from shrinkbeta import kernels
+import numpy as np
+
+from shrinkbeta import kernels, markov
 from shrinkbeta.algebra import solve_beta
 
-CASES = [
+INDUCED_CASES = [
     (3, 1024, 1000),
     (5, 1024, 1000),
     (10, 4096, 500),
 ]
+CHAIN_CASES = [
+    (3, 1_000_000),
+    (8, 1_000_000),
+]
 
 
-def _time_backend(backend, ctx, x0, steps, seed, repeat):
+def _best(call, repeat):
     best = float("inf")
     for _ in range(repeat):
         t0 = time.perf_counter()
-        kernels.induced_stats(ctx, x0, steps, seed, backend=backend)
+        call()
         best = min(best, time.perf_counter() - t0)
     return best
 
 
+def _print_row(row, backends, times):
+    for backend in backends:
+        row += f" {times[backend]:>14.4f}"
+    if len(backends) == 2:
+        row += f" {times['python'] / times['compiled']:>8.1f}x"
+    print(row)
+
+
 def run(repeat: int, seed: int) -> None:
-    backends = ["python"]
+    backends = {"python": kernels._pure}
     if kernels.BACKEND == "compiled":
-        backends.insert(0, "compiled")
+        backends = {"compiled": kernels._impl, **backends}
     else:
         print("compiled extension not built; timing the fallback only")
-    header = f"{'n':>4} {'points':>8} {'steps':>7}"
-    for backend in backends:
-        header += f" {backend + ' [s]':>14}"
+    columns = "".join(f" {backend + ' [s]':>14}" for backend in backends)
     if len(backends) == 2:
-        header += f" {'speedup':>9}"
-    print(header)
-    for n, points, steps in CASES:
+        columns += f" {'speedup':>9}"
+
+    print(f"induced_stats\n{'n':>4} {'points':>8} {'steps':>7}" + columns)
+    for n, points, steps in INDUCED_CASES:
         ctx = solve_beta(n)
         x0 = kernels.uniform_starts(seed, points, ctx.a + 1e-9,
                                     ctx.b - 1e-9)
-        row = f"{n:>4} {points:>8} {steps:>7}"
-        times = {}
-        for backend in backends:
-            times[backend] = _time_backend(backend, ctx, x0, steps, seed,
-                                           repeat)
-            row += f" {times[backend]:>14.4f}"
-        if len(backends) == 2:
-            row += f" {times['python'] / times['compiled']:>8.1f}x"
-        print(row)
+        times = {backend: _best(lambda: kernels.induced_stats(
+                     ctx, x0, steps, seed, backend=backend), repeat)
+                 for backend in backends}
+        _print_row(f"{n:>4} {points:>8} {steps:>7}", backends, times)
+
+    print(f"chain_sample\n{'n':>4} {'steps':>16}" + columns)
+    for n, steps in CHAIN_CASES:
+        chain = markov.build_chain(n)
+        cum_rows = np.cumsum(chain.P_trans, axis=1)
+        start_cum = np.cumsum(chain.p)
+        times = {backend: _best(lambda: impl.chain_sample(
+                     cum_rows, start_cum, steps, seed), repeat)
+                 for backend, impl in backends.items()}
+        _print_row(f"{n:>4} {steps:>16}", backends, times)
 
 
 def main() -> None:

@@ -5,9 +5,33 @@ equivalent to `_kernels.pyx`: same counter-based coin stream, same
 multiply-then-subtract update order, same drift guards. Both backends raise
 bare RuntimeError with a structured "kind:payload" message; the dispatcher
 in `kernels` translates those into the package's typed errors.
-"""
 
-from bisect import bisect_right
+The invariant that keeps every output bit fixed is the per-point order of
+float operations: each point sees `x = beta*x - bit` for its coin, then
+`x = beta*x - 1.0` (above `b`) or `beta*x` (below `a`) once per round until
+it lands in `[a, b]`, exactly as the point-major compiled loop does. How
+points are grouped into numpy calls does not change a result, only how
+fast it comes:
+
+* `induced_stats` draws the coins of a block of steps for all points in
+  one `_raw` call of about `_COIN_WORDS` words (word `j*steps + k` depends
+  only on the seed and that index). After each coin step it carries only
+  the points outside `[a, b]` through the rounds, as an ascending index
+  set that shrinks every round, and counts the points that leave per
+  round instead of keeping a return time per point. Fewer than `_TAIL`
+  points finish their rounds in a scalar loop. Rounds stay synchronous
+  over points, so drift and escape are found in the same round, at the
+  same point, as in a loop over all points: a point that has returned
+  sits in `[a, b]`, inside the guard band, and cannot be the one that
+  escapes.
+* `chain_sample` turns each uniform into its bin among the distinct
+  values of all cumulative rows with one `searchsorted`, then walks a
+  `(state, bin) -> next state` table over Python lists, `_CHAIN_CHUNK`
+  steps at a time. The next state is the number of row values at most
+  `u`, capped at `m - 1`; every row value is a bin edge, so that number is
+  the same for every `u` in one bin, and each table entry counts it at a
+  value from its bin. Rows must be non-decreasing, as `kernels` checks.
+"""
 
 import numpy as np
 
@@ -17,6 +41,9 @@ _GOLDEN = np.uint64(_bits._GOLDEN)
 _MIX1 = np.uint64(_bits._MIX1)
 _MIX2 = np.uint64(_bits._MIX2)
 _GUARD = 1e-9
+_COIN_WORDS = 16384   # coin words per `_raw` call: 16 steps of 1024 points
+_TAIL = 16            # fewer points than this finish a step's rounds scalar
+_CHAIN_CHUNK = 65536  # chain steps walked per uniform draw
 
 
 def _mix64(z):
@@ -43,30 +70,57 @@ def induced_stats(beta, a, b, domain_max, n_cap, x0, steps, seed):
     x = np.array(x0, dtype=np.float64, copy=True)
     count = x.size
     hist = np.zeros(n_cap + 2, dtype=np.int64)
-    tau1 = 0
+    low, high = -_GUARD, domain_max + _GUARD
     offsets = np.arange(count, dtype=np.uint64) * np.uint64(steps)
-    for k in range(steps):
-        z = _raw(seed, _bits.STREAM_COIN, offsets + np.uint64(k))
-        bits = (z >> np.uint64(63)).astype(np.float64)
-        x = beta * x - bits
-        t = np.ones(count, dtype=np.int64)
-        out = (x < a) | (x > b)
-        rounds = 0
-        while out.any():
-            rounds += 1
-            if rounds > n_cap:
-                worst = float(x[int(np.argmax(out))])
-                raise RuntimeError(f"drift:{worst!r}")
-            x = np.where(out, np.where(x > b, beta * x - 1.0, beta * x), x)
-            bad = (x < -_GUARD) | (x > domain_max + _GUARD)
-            if bad.any():
-                worst = float(x[int(np.argmax(bad))])
-                raise RuntimeError(f"escape:{worst!r}")
-            t += out
-            out = (x < a) | (x > b)
-        hist += np.bincount(t, minlength=n_cap + 2)
-        tau1 += int((t == 1).sum())
-    return hist, x, tau1
+    block = max(1, _COIN_WORDS // max(count, 1))
+    for k0 in range(0, steps, block):
+        ks = np.arange(k0, min(k0 + block, steps), dtype=np.uint64)
+        z = _raw(seed, _bits.STREAM_COIN, ks[:, None] + offsets)
+        for bits in (z >> np.uint64(63)).astype(np.float64):
+            x = beta * x - bits
+            idx = np.flatnonzero((x < a) | (x > b))
+            hist[1] += count - idx.size
+            rounds = 1
+            while idx.size >= _TAIL:
+                if rounds > n_cap:
+                    raise RuntimeError(f"drift:{float(x[idx[0]])!r}")
+                v = x[idx]
+                v = beta * v - (v > b)
+                if v.min() < low or v.max() > high:
+                    bad = (v < low) | (v > high)
+                    raise RuntimeError(f"escape:{float(v[bad][0])!r}")
+                x[idx] = v
+                left = idx.size
+                idx = idx[(v < a) | (v > b)]
+                hist[rounds + 1] += left - idx.size
+                rounds += 1
+            if idx.size:
+                _tail_rounds(beta, a, b, low, high, n_cap, x, hist,
+                             idx.tolist(), x[idx].tolist(), rounds)
+    return hist, x, int(hist[1])
+
+
+def _tail_rounds(beta, a, b, low, high, n_cap, x, hist, idx, v, rounds):
+    """Finish a step's rounds for a few points, one round over all of them
+    at a time, in index order."""
+    while idx:
+        if rounds > n_cap:
+            raise RuntimeError(f"drift:{v[0]!r}")
+        v = [beta * y - 1.0 if y > b else beta * y for y in v]
+        for y in v:
+            if y < low or y > high:
+                raise RuntimeError(f"escape:{y!r}")
+        left = len(idx)
+        keep = []
+        for j, y in zip(idx, v):
+            if y < a or y > b:
+                keep.append((j, y))
+            else:
+                x[j] = y
+        idx = [j for j, _ in keep]
+        v = [y for _, y in keep]
+        hist[rounds + 1] += left - len(idx)
+        rounds += 1
 
 
 def chain_sample(cum_rows, start_cum, steps, seed):
@@ -77,14 +131,28 @@ def chain_sample(cum_rows, start_cum, steps, seed):
     with coin bits drawn from the same seed.
     """
     m = len(start_cum)
-    idx = np.arange(steps, dtype=np.uint64)
-    z = _raw(seed, _bits.STREAM_CHAIN, idx)
-    u = (z >> np.uint64(11)) * 2.0 ** -53
-    rows = [list(row) for row in cum_rows]
+    # sorted distinct values; np.unique would cost about 1.3 MB of RSS on
+    # its first call
+    edges = np.sort(cum_rows, axis=None)
+    edges = edges[np.append(True, edges[1:] != edges[:-1])]
+    reps = np.append(-np.inf, edges)  # a value inside every bin
+    table = np.minimum([np.searchsorted(row, reps, side="right")
+                        for row in cum_rows], m - 1).tolist()
+    u0 = _uniforms(seed, _bits.STREAM_CHAIN, 0, 1)[0]
+    state = min(int(np.searchsorted(start_cum, u0, side="right")), m - 1)
     out = np.empty(steps, dtype=np.int8)
-    state = min(bisect_right(list(start_cum), u[0]), m - 1)
     out[0] = state
-    for k in range(1, steps):
-        state = min(bisect_right(rows[state], u[k]), m - 1)
-        out[k] = state
+    for k0 in range(1, steps, _CHAIN_CHUNK):
+        u = _uniforms(seed, _bits.STREAM_CHAIN, k0,
+                      min(k0 + _CHAIN_CHUNK, steps))
+        bins = np.searchsorted(edges, u, side="right").tolist()
+        path = [state := table[state][i] for i in bins]
+        out[k0:k0 + len(path)] = np.frombuffer(bytes(path), dtype=np.int8)
     return out
+
+
+def _uniforms(seed, stream, lo, hi):
+    """Uniforms in [0, 1) with 53 random mantissa bits, draws lo .. hi - 1
+    of a stream."""
+    z = _raw(seed, stream, np.arange(lo, hi, dtype=np.uint64))
+    return (z >> np.uint64(11)) * 2.0 ** -53

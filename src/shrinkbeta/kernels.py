@@ -19,6 +19,8 @@ except ImportError:
 
 from . import _kernels_py as _pure
 
+_MAX_STATES = np.iinfo(np.int8).max
+
 
 def _retype(exc: RuntimeError, ctx):
     kind, _, payload = str(exc).partition(":")
@@ -33,11 +35,16 @@ def _retype(exc: RuntimeError, ctx):
 
 def induced_stats(ctx, x0, steps: int, seed: int, backend=None):
     """Bulk first-return statistics. Returns (hist, final_x, tau1_count);
-    hist[t] counts returns at time t over all points and steps."""
+    hist[t] counts returns at time t over all points and steps. Starts
+    must be finite."""
     impl = {None: _impl, "python": _pure, "compiled": _impl}[backend]
     if backend == "compiled" and BACKEND != "compiled":
         raise RuntimeError("compiled backend requested but not built")
     x0 = np.ascontiguousarray(x0, dtype=np.float64)
+    finite = np.isfinite(x0)
+    if not finite.all():
+        raise ValueError(
+            f"starts must be finite, got {float(x0[~finite][0])!r}")
     try:
         return impl.induced_stats(ctx.beta, ctx.a, ctx.b, ctx.domain_max,
                                   ctx.n, x0, int(steps), int(seed) & _MASK)
@@ -46,20 +53,30 @@ def induced_stats(ctx, x0, steps: int, seed: int, backend=None):
 
 
 def chain_sample(cum_rows, start_cum, steps: int, seed: int):
-    """Seeded Markov path from cumulative rows; int8 states."""
+    """Seeded Markov path from non-decreasing cumulative rows; int8
+    states, so at most 127 of them."""
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps!r}")
     cum_rows = np.ascontiguousarray(cum_rows, dtype=np.float64)
     start_cum = np.ascontiguousarray(start_cum, dtype=np.float64)
+    m = start_cum.size
+    if start_cum.ndim != 1 or not 1 <= m <= _MAX_STATES:
+        raise ValueError(f"start_cum must be 1-D with 1..{_MAX_STATES} "
+                         f"states, got shape {start_cum.shape}")
+    if cum_rows.shape != (m, m):
+        raise ValueError(f"cum_rows must have shape {(m, m)}, "
+                         f"got {cum_rows.shape}")
+    if not ((np.diff(cum_rows, axis=1) >= 0).all()
+            and (np.diff(start_cum) >= 0).all()):
+        raise ValueError("cum_rows and start_cum must be non-decreasing "
+                         "cumulative laws")
     return _impl.chain_sample(cum_rows, start_cum, int(steps),
                               int(seed) & _MASK)
 
 
 def uniform_array(seed: int, count: int, stream: int = STREAM_CHAIN):
     """count uniforms in [0, 1) from the counter-based stream."""
-    idx = np.arange(count, dtype=np.uint64)
-    z = _pure._raw(int(seed) & _MASK, stream, idx)
-    return (z >> np.uint64(11)) * 2.0 ** -53
+    return _pure._uniforms(int(seed) & _MASK, stream, 0, count)
 
 
 def uniform_starts(seed: int, count: int, lo: float, hi: float):

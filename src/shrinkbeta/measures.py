@@ -38,6 +38,9 @@ _REFINE_TOL = 1e-14
 _MAX_DEPTH = 200
 # longest frontier chunk _product_rectangle expands at once
 _CHUNK = 1024
+# blocks block_entropy encodes and counts at once, so a long int8 path is
+# never copied whole to int64
+_BLOCK_CHUNK = 65536
 
 
 @dataclass(frozen=True)
@@ -475,20 +478,29 @@ def abramov_check(n: int, kind: str = "parry") -> AbramovResult:
 def block_entropy(sample, block_len: int, alphabet_size: int) -> float:
     """Shannon entropy (nats) of the empirical distribution of overlapping
     length-block_len blocks."""
-    sample = np.asarray(sample, dtype=np.int64)
+    sample = np.asarray(sample)
     count = sample.size - block_len + 1
-    codes = np.zeros(count, dtype=np.int64)
-    for i in range(block_len):
-        codes = codes * alphabet_size + sample[i:count + i]
-    freqs = np.bincount(codes) / count
+    if count < 1:
+        raise ValueError(f"need >= {block_len} symbols, got {sample.size}")
+    counts = np.zeros(0, dtype=np.int64)
+    for lo in range(0, count, _BLOCK_CHUNK):
+        size = min(_BLOCK_CHUNK, count - lo)
+        chunk = sample[lo:lo + size + block_len - 1].astype(np.int64)
+        codes = np.zeros(size, dtype=np.int64)
+        for i in range(block_len):
+            codes = codes * alphabet_size + chunk[i:size + i]
+        part = np.bincount(codes)
+        counts = np.pad(counts, (0, max(0, part.size - counts.size)))
+        counts[:part.size] += part
+    freqs = counts / count
     freqs = freqs[freqs > 0]
     return float(-(freqs * np.log(freqs)).sum())
 
 
 def _checked_sample(sample, block_len: int, alphabet_size):
-    """The sample as int64 and the alphabet size, after checking that every
-    length-block_len block can appear about 100 times."""
-    sample = np.asarray(sample, dtype=np.int64)
+    """The sample as an array and the alphabet size, after checking that
+    every length-block_len block can appear about 100 times."""
+    sample = np.asarray(sample)
     if alphabet_size is None:
         alphabet_size = int(sample.max()) + 1 if sample.size else 0
     if sample.size < 100 * alphabet_size ** block_len:

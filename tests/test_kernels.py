@@ -1,12 +1,17 @@
 """Bulk kernels: backend parity, stream addressing and error retyping."""
 
 import math
+import tracemalloc
+from bisect import bisect_right
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from shrinkbeta import _bits, kernels
+from shrinkbeta import _bits, _kernels_py, kernels, markov
 from shrinkbeta.algebra import solve_beta
 from shrinkbeta.dynamics import CoinStream, PointState, return_time
 from shrinkbeta.errors import InvariantViolationError, OrbitEscapeError
@@ -164,3 +169,268 @@ def test_chain_sample_inverse_transform():
     from_zero = path[1:][path[:-1] == 0]
     freq01 = (from_zero == 1).mean()
     assert abs(freq01 - 0.5) < 4 * math.sqrt(0.25 / from_zero.size)
+
+
+@BOTH_BACKENDS
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_starts_rejected(backend, bad):
+    # a NaN start would count as a return at time 1 and come back as NaN
+    with pytest.raises(ValueError, match="finite"):
+        kernels.induced_stats(CTX, np.array([bad, 1.45]), 3, 1,
+                              backend=backend)
+
+
+@pytest.mark.parametrize("cum_rows, start_cum", [
+    (np.ones((128, 128)), np.ones(128)),        # beyond int8 states
+    (np.ones((2, 3)), np.ones(2)),
+    (np.ones((3, 2)), np.ones(2)),
+    (np.ones(2), np.ones(2)),
+    (np.ones((2, 2)), np.ones((1, 2))),
+    (np.ones((0, 0)), np.ones(0)),
+    (np.array([[0.5, 1.0], [0.75, 0.5]]), np.array([0.5, 1.0])),
+    (np.array([[0.5, 1.0], [0.5, 1.0]]), np.array([0.6, 0.4])),
+    (np.array([[0.5, 1.0], [math.nan, 1.0]]), np.array([0.5, 1.0])),
+])
+def test_chain_sample_rejects_bad_laws(cum_rows, start_cum):
+    # bad shapes, more states than int8 holds, decreasing or NaN laws
+    with pytest.raises(ValueError):
+        kernels.chain_sample(cum_rows, start_cum, 10, seed=1)
+
+
+def test_chain_sample_accepts_127_states():
+    m = 127
+    cum_rows = np.tile(np.arange(1, m + 1) / m, (m, 1))
+    path = kernels.chain_sample(cum_rows, cum_rows[0], 3000, seed=4)
+    assert path.dtype == np.int8 and path.min() >= 0 and path.max() == m - 1
+
+
+def reference_induced_stats(beta, a, b, domain_max, n_cap, x0, steps, seed):
+    """The former numpy loop: every point through every round of every
+    step, with a return time kept per point."""
+    x = np.array(x0, dtype=np.float64, copy=True)
+    count = x.size
+    hist = np.zeros(n_cap + 2, dtype=np.int64)
+    tau1 = 0
+    offsets = np.arange(count, dtype=np.uint64) * np.uint64(steps)
+    for k in range(steps):
+        z = _kernels_py._raw(seed, _bits.STREAM_COIN, offsets + np.uint64(k))
+        bits = (z >> np.uint64(63)).astype(np.float64)
+        x = beta * x - bits
+        t = np.ones(count, dtype=np.int64)
+        out = (x < a) | (x > b)
+        rounds = 0
+        while out.any():
+            rounds += 1
+            if rounds > n_cap:
+                worst = float(x[int(np.argmax(out))])
+                raise RuntimeError(f"drift:{worst!r}")
+            x = np.where(out, np.where(x > b, beta * x - 1.0, beta * x), x)
+            bad = ((x < -_kernels_py._GUARD)
+                   | (x > domain_max + _kernels_py._GUARD))
+            if bad.any():
+                worst = float(x[int(np.argmax(bad))])
+                raise RuntimeError(f"escape:{worst!r}")
+            t += out
+            out = (x < a) | (x > b)
+        hist += np.bincount(t, minlength=n_cap + 2)
+        tau1 += int((t == 1).sum())
+    return hist, x, tau1
+
+
+def reference_chain_sample(cum_rows, start_cum, steps, seed):
+    """The former sampler: one bisection of the current row per step."""
+    m = len(start_cum)
+    idx = np.arange(steps, dtype=np.uint64)
+    z = _kernels_py._raw(seed, _bits.STREAM_CHAIN, idx)
+    u = (z >> np.uint64(11)) * 2.0 ** -53
+    rows = [list(row) for row in cum_rows]
+    out = np.empty(steps, dtype=np.int8)
+    state = min(bisect_right(list(start_cum), u[0]), m - 1)
+    out[0] = state
+    for k in range(1, steps):
+        state = min(bisect_right(rows[state], u[k]), m - 1)
+        out[k] = state
+    return out
+
+
+def _outcome(fn, *args):
+    """A kernel's result with finals as float.hex, or its error message."""
+    try:
+        hist, xf, tau1 = fn(*args)
+    except RuntimeError as exc:
+        return "error", str(exc)
+    assert type(tau1) is int
+    return hist.tolist(), [v.hex() for v in xf.tolist()], tau1
+
+
+# small blocks and tails cross block and tail boundaries at small sizes;
+# 1 and 10**6 keep every round in numpy or every round scalar
+KERNEL_SIZES = dict(words=st.sampled_from([1, 7, 64, 16384]),
+                    tail=st.sampled_from([1, 2, 16, 10 ** 6]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(3, 12), seed=st.integers(0, 2 ** 64 - 1),
+       points=st.integers(1, 300), steps=st.integers(1, 200), **KERNEL_SIZES)
+def test_induced_stats_matches_reference(n, seed, points, steps, words,
+                                         tail):
+    ctx = solve_beta(n)
+    x0 = kernels.uniform_starts(seed, points, ctx.a, ctx.b)
+    args = (ctx.beta, ctx.a, ctx.b, ctx.domain_max, ctx.n, x0, steps, seed)
+    with mock.patch.object(_kernels_py, "_COIN_WORDS", words), \
+            mock.patch.object(_kernels_py, "_TAIL", tail):
+        got = _outcome(_kernels_py.induced_stats, *args)
+    assert got[0] != "error"
+    assert got == _outcome(reference_induced_stats, *args)
+
+
+@pytest.mark.parametrize("n", [3, 4, 8, 10, 12, 24])
+def test_induced_stats_matches_reference_at_full_block(n):
+    # 1024 points draw 16 steps of coins per block: 70 steps cross four
+    ctx = solve_beta(n)
+    x0 = kernels.uniform_starts(n, 1024, ctx.a, ctx.b)
+    args = (ctx.beta, ctx.a, ctx.b, ctx.domain_max, ctx.n, x0, 70, n)
+    assert _outcome(_kernels_py.induced_stats, *args) == \
+        _outcome(reference_induced_stats, *args)
+
+
+@st.composite
+def faulty_inputs(draw):
+    """Starts that escape or an expansion factor too small to return:
+    both kernels must stop at the same round of the same step, at the
+    same point."""
+    n = draw(st.integers(3, 12))
+    ctx = solve_beta(n)
+    inside = st.floats(ctx.a, ctx.b)
+    outside = st.one_of(st.floats(ctx.domain_max + 1e-6, ctx.domain_max + 3),
+                        st.floats(-3, -1e-6))
+    x0 = draw(st.lists(inside, min_size=1, max_size=60))
+    for _ in range(draw(st.integers(0, 2))):
+        x0.insert(draw(st.integers(0, len(x0))), draw(outside))
+    beta = draw(st.one_of(st.just(ctx.beta), st.floats(1.01, 1.2),
+                          st.floats(1.2, ctx.beta)))
+    return (beta, ctx.a, ctx.b, ctx.domain_max, ctx.n, np.array(x0),
+            draw(st.integers(1, 40)), draw(st.integers(0, 2 ** 64 - 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(args=faulty_inputs(), **KERNEL_SIZES)
+def test_induced_stats_errors_match_reference(args, words, tail):
+    with mock.patch.object(_kernels_py, "_COIN_WORDS", words), \
+            mock.patch.object(_kernels_py, "_TAIL", tail):
+        got = _outcome(_kernels_py.induced_stats, *args)
+    assert got == _outcome(reference_induced_stats, *args)
+
+
+@st.composite
+def dyadic_inputs(draw):
+    """beta = 2 on dyadic starts: every product is exact, so points land
+    exactly on a, b and 0, where a strict and a non-strict comparison
+    part ways."""
+    x0 = draw(st.lists(st.integers(4, 12), min_size=1, max_size=40))
+    return (2.0, 0.25, 0.75, 1.0, draw(st.integers(1, 12)),
+            np.array(x0) / 16, draw(st.integers(1, 40)),
+            draw(st.integers(0, 2 ** 64 - 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(args=dyadic_inputs(), **KERNEL_SIZES)
+def test_induced_stats_boundary_hits_match_reference(args, words, tail):
+    with mock.patch.object(_kernels_py, "_COIN_WORDS", words), \
+            mock.patch.object(_kernels_py, "_TAIL", tail):
+        got = _outcome(_kernels_py.induced_stats, *args)
+    assert got == _outcome(reference_induced_stats, *args)
+
+
+def test_nan_start_beside_an_escape_matches_reference():
+    # the kernel itself, below the finite-start check of `kernels`
+    args = (CTX.beta, CTX.a, CTX.b, CTX.domain_max, CTX.n,
+            np.array([math.nan] * 20 + [CTX.domain_max + 2.0]), 3, 1)
+    got = _outcome(_kernels_py.induced_stats, *args)
+    assert got[0] == "error" and got[1].startswith("escape:")
+    assert got == _outcome(reference_induced_stats, *args)
+
+
+def test_fake_beta_drift_matches_reference():
+    args = (1.1, CTX.a, CTX.b, CTX.domain_max, CTX.n,
+            np.array([1.5, 1.2, 1.5]), 4, 1)
+    got = _outcome(_kernels_py.induced_stats, *args)
+    assert got[0] == "error" and got[1].startswith("drift:")
+    assert got == _outcome(reference_induced_stats, *args)
+
+
+@st.composite
+def chain_inputs(draw):
+    m = draw(st.integers(1, 12))
+    steps = draw(st.integers(1, 300))
+    seed = draw(st.integers(0, 2 ** 64 - 1))
+    u = kernels.uniform_array(seed, steps)
+    entry = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
+    rows = []
+    for _ in range(m):
+        kind = draw(st.sampled_from(["random", "deterministic", "short",
+                                     "hits"]))
+        if kind == "deterministic":
+            row = np.zeros(m)
+            row[draw(st.integers(0, m - 1))] = 1.0
+            cum = np.cumsum(row)
+        else:
+            row = np.array(draw(st.lists(entry, min_size=m, max_size=m)))
+            cum = np.cumsum(row / row.sum()) if row.sum() else np.cumsum(row)
+            if kind == "short":     # ends below 1.0
+                cum = cum * draw(st.floats(0.1, 0.999))
+            elif kind == "hits":    # an entry equal to a drawn uniform
+                at = draw(st.integers(0, m - 1))
+                cum[at] = float(u[draw(st.integers(0, steps - 1))])
+                cum = np.maximum.accumulate(cum)
+        rows.append(cum)
+    cum_rows = np.array(rows).reshape(m, m)
+    start_cum = cum_rows[draw(st.integers(0, m - 1))]
+    return cum_rows, start_cum, steps, seed
+
+
+@settings(max_examples=60, deadline=None)
+@given(args=chain_inputs(), chunk=st.sampled_from([1, 3, 64, 65536]))
+def test_chain_sample_matches_reference(args, chunk):
+    with mock.patch.object(_kernels_py, "_CHAIN_CHUNK", chunk):
+        path = kernels.chain_sample(*args)
+    assert path.dtype == np.int8
+    assert np.array_equal(path, reference_chain_sample(*args))
+
+
+def test_chain_sample_uniform_on_an_edge():
+    # a uniform equal to a cumulative entry counts that entry as passed
+    seed, steps = 5, 40
+    u = kernels.uniform_array(seed, steps)
+    start_cum = np.array([u[0], 1.0])
+    cum_rows = np.array([[u[1], 1.0], [u[1], 1.0]])
+    path = kernels.chain_sample(cum_rows, start_cum, steps, seed)
+    assert path[0] == 1 and path[1] == 1
+    assert np.array_equal(
+        path, reference_chain_sample(cum_rows, start_cum, steps, seed))
+
+
+@pytest.mark.parametrize("n", [3, 8])
+def test_parry_path_matches_reference_across_chunks(n):
+    chain = markov.build_chain(n)
+    cum_rows = np.cumsum(chain.P_trans, axis=1)
+    start_cum = np.cumsum(chain.p)
+    steps = 2 * _kernels_py._CHAIN_CHUNK + 3
+    assert np.array_equal(
+        kernels.chain_sample(cum_rows, start_cum, steps, seed=n),
+        reference_chain_sample(cum_rows, start_cum, steps, seed=n))
+
+
+def test_chain_sample_holds_no_full_length_temporaries():
+    chain = markov.build_chain(8)
+    cum_rows = np.cumsum(chain.P_trans, axis=1)
+    start_cum = np.cumsum(chain.p)
+    tracemalloc.start()
+    try:
+        path = kernels.chain_sample(cum_rows, start_cum, 10 ** 6, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the int8 path itself is 1 MB; one float64 array of the path's length
+    # alone would be 8 MB
+    assert path.size == 10 ** 6 and peak < 8 * 2 ** 20

@@ -1,6 +1,7 @@
 """Product measures, the first-return lift and entropy estimators."""
 
 import math
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shrinkbeta import kernels, measures, verify
+from shrinkbeta import kernels, markov, measures, verify
 from shrinkbeta.algebra import solve_beta
 from shrinkbeta.gls import greedy_breakpoints, lazy_breakpoints, return_time_law
 from shrinkbeta.measures import (CylinderSpec, InducedMeasureSpec,
@@ -173,6 +174,53 @@ def test_block_entropy_estimators():
         pytest.approx(0.0, abs=1e-7)
     with pytest.raises(ValueError):
         empirical_entropy(np.zeros(10, dtype=np.int64), 2, alphabet_size=4)
+
+
+def reference_block_entropy(sample, block_len, alphabet_size):
+    """The former estimator: the whole sample coded at once in int64."""
+    sample = np.asarray(sample, dtype=np.int64)
+    count = sample.size - block_len + 1
+    codes = np.zeros(count, dtype=np.int64)
+    for i in range(block_len):
+        codes = codes * alphabet_size + sample[i:count + i]
+    freqs = np.bincount(codes) / count
+    freqs = freqs[freqs > 0]
+    return float(-(freqs * np.log(freqs)).sum())
+
+
+@pytest.mark.parametrize("chunk", [7, 1000, 65536])
+@pytest.mark.parametrize("n", [3, 8])
+def test_entropy_estimates_match_whole_sample_coding(n, chunk):
+    chain = markov.build_chain(n)
+    path = markov.sample_chain(chain, 25_003, seed=n)
+    m = len(chain.p)
+    with mock.patch.object(measures, "_BLOCK_CHUNK", chunk):
+        for block_len in (1, 2, 3):
+            got = block_entropy(path, block_len, m)
+            assert got.hex() == \
+                reference_block_entropy(path, block_len, m).hex()
+        rate = entropy_rate_estimate(path, 2, alphabet_size=m)
+    expected = (reference_block_entropy(path, 2, m)
+                - reference_block_entropy(path, 1, m))
+    assert rate.hex() == expected.hex()
+
+
+def test_block_entropy_rejects_sample_shorter_than_block():
+    with pytest.raises(ValueError, match="symbols"):
+        block_entropy(np.zeros(2, dtype=np.int8), 3, 2)
+
+
+def test_entropy_estimate_holds_no_full_length_int64():
+    chain = markov.build_chain(8)
+    path = markov.sample_chain(chain, 10 ** 6, seed=1)
+    tracemalloc.start()
+    try:
+        entropy_rate_estimate(path, 2, alphabet_size=len(chain.p))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one int64 copy of the 1e6-symbol path alone would be 8 MB
+    assert peak < 4 * 2 ** 20
 
 
 def sample_return_times(law, count, seed):
