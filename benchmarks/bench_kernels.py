@@ -4,7 +4,10 @@ Runs the first-return statistics loop (`induced_stats`) and the Parry
 chain sampler (`chain_sample`) on each available backend for a few problem
 sizes and prints the best wall times plus the speedup. The two backends
 are bit-for-bit interchangeable, so this is purely a throughput
-measurement.
+measurement. A last table times the extended-precision work behind
+`entropy --n-range 3..60`, which no backend touches: `solve_lambda` at
+150 bits for n = 31..60 from an empty root cache, and `_inv_cd_direct`
+on those roots.
 
 Usage: python3 benchmarks/bench_kernels.py [--repeat 3] [--seed 1]
 """
@@ -12,10 +15,11 @@ Usage: python3 benchmarks/bench_kernels.py [--repeat 3] [--seed 1]
 import argparse
 import time
 
+import mpmath
 import numpy as np
 
-from shrinkbeta import kernels, markov
-from shrinkbeta.algebra import solve_beta
+from shrinkbeta import algebra, kernels, markov
+from shrinkbeta.algebra import solve_beta, solve_lambda
 
 INDUCED_CASES = [
     (3, 1024, 1000),
@@ -26,6 +30,9 @@ CHAIN_CASES = [
     (3, 1_000_000),
     (8, 1_000_000),
 ]
+# check_inequality's extended rows: n above 30 at 150 bits
+MP_NS = range(31, 61)
+MP_BITS = 150
 
 
 def _best(call, repeat):
@@ -74,6 +81,24 @@ def run(repeat: int, seed: int) -> None:
                      cum_rows, start_cum, steps, seed), repeat)
                  for backend, impl in backends.items()}
         _print_row(f"{n:>4} {steps:>16}", backends, times)
+
+    def solve_cold():
+        algebra._solve_poly.cache_clear()
+        for n in MP_NS:
+            solve_lambda(n, MP_BITS)
+
+    roots = [(n, solve_lambda(n, MP_BITS).lam) for n in MP_NS]
+
+    def inv_cd():
+        with mpmath.workprec(MP_BITS):
+            for n, lam in roots:
+                markov._inv_cd_direct(lam, n)
+
+    print(f"extended precision, n = {MP_NS.start}..{MP_NS.stop - 1} at "
+          f"{MP_BITS} bits\n{'case':>29} {'all n [s]':>14}")
+    for name, call in (("solve_lambda (cold cache)", solve_cold),
+                       ("_inv_cd_direct", inv_cd)):
+        print(f"{name:>29} {_best(call, repeat):>14.4f}")
 
 
 def main() -> None:

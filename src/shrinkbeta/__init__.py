@@ -14,7 +14,8 @@ from .dynamics import (CoinStream, PointState, induced_step, orbit,
                        return_time, step)
 from .errors import (DeletedPointError, InequalityViolationError,
                      InvariantViolationError, OrbitEscapeError,
-                     ShrinkBetaError, StreamExhaustedError)
+                     PrecisionLimitError, ShrinkBetaError,
+                     StreamExhaustedError)
 from .gls import (GlsPartition, ReturnTimeVector, greedy_breakpoints,
                   lazy_breakpoints, return_time_law, return_time_vector)
 from .kernels import BACKEND
@@ -35,6 +36,7 @@ __all__ = [
     "CoinStream", "PointState", "induced_step", "orbit", "return_time", "step",
     "ShrinkBetaError", "OrbitEscapeError", "StreamExhaustedError",
     "DeletedPointError", "InvariantViolationError", "InequalityViolationError",
+    "PrecisionLimitError",
     "GlsPartition", "ReturnTimeVector",
     "greedy_breakpoints", "lazy_breakpoints", "return_time_law",
     "return_time_vector", "BACKEND", "MarkovChain", "build_adjacency",

@@ -10,7 +10,10 @@ Two one-parameter families of algebraic numbers drive everything here:
 Both are found by bisection on [1, 2] followed by Newton polishing.  An
 optional extended-precision mode (mpmath, >= 100-bit significand) exists for
 large n, where the roots crowd the golden ratio and double-precision
-residuals flatten.
+residuals flatten; doubles resolve lambda_n up to n = 53 and beta_n up to
+n = 77, and larger n are refused without a precision.  The extended
+bisection takes each sign from an exact integer, so only the Newton steps
+round.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 
 import mpmath
 
-from .errors import InvariantViolationError
+from .errors import InvariantViolationError, PrecisionLimitError
 
 GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -75,13 +78,25 @@ def _poly(n: int, factor):
 
 # narrowest mpmath significand the extended-precision paths accept
 MIN_PRECISION = 100
+# extended-precision bisection steps before Newton takes over
+_BISECT_STEPS = 80
+# largest n each root has in doubles: above it lambda_n rounds to 2.0 and
+# beta_n to the golden ratio
+_BETA_DOUBLE_N_MAX = 77
+_LAMBDA_DOUBLE_N_MAX = 53
 
 
-def _check_args(n, precision) -> None:
+def _check_args(n, precision, name: str, double_n_max: int) -> None:
     # runs before the root cache: 3.0 and np.int64(3) hash like 3
     if not isinstance(n, int) or n < 3:
         raise ValueError(f"n must be an integer >= 3, got {n!r}")
-    if precision is not None and precision < MIN_PRECISION:
+    if precision is None:
+        if n > double_n_max:
+            raise PrecisionLimitError(
+                f"{name} in doubles supports n <= {double_n_max}, got "
+                f"n={n}; pass precision (>= {MIN_PRECISION} bits) for "
+                f"larger n")
+    elif precision < MIN_PRECISION:
         raise ValueError(
             f"extended precision needs >= {MIN_PRECISION} bits")
 
@@ -89,6 +104,10 @@ def _check_args(n, precision) -> None:
 @functools.lru_cache(maxsize=None)
 def _solve_poly(n: int, factor, precision: int | None):
     """Largest root in (1, 2): bisection to tolerance, then Newton.
+
+    In doubles the bisection evaluates f in rounded arithmetic. With a
+    precision it runs 80 steps over the dyadics m/2^80 and takes each sign
+    from an exact integer, then Newton polishes in mpmath.
 
     Cached: each root is solved once per process. Callers check their
     arguments first (`_check_args`).
@@ -113,15 +132,20 @@ def _solve_poly(n: int, factor, precision: int | None):
             raise InvariantViolationError(
                 f"root residual {abs(f(x)) / scale:.3e} above tolerance at n={n}")
         return x
+    # midpoints are m / 2^80 on [1, 2]; (x - 1) f(x) scaled by D^(n+1) is
+    # an integer with the sign of f(x), since x > 1
+    d = 1 << _BISECT_STEPS
+    d_term = d ** (n - 1)
+    lo, hi = d, 2 * d
+    for _ in range(_BISECT_STEPS):
+        mid = (lo + hi) >> 1
+        p = mid ** (n - 1)
+        if p * mid * (mid - d) - factor * (p - d_term) * d * d > 0:
+            hi = mid
+        else:
+            lo = mid
     with mpmath.workprec(precision + 20):
-        lo, hi = mpmath.mpf(1), mpmath.mpf(2)
-        for _ in range(80):
-            mid = (lo + hi) / 2
-            if f(mid) > 0:
-                hi = mid
-            else:
-                lo = mid
-        x = (lo + hi) / 2
+        x = mpmath.mpf(lo + hi) / 2 ** (_BISECT_STEPS + 1)
         for _ in range(40):
             step = f(x) / fp(x)
             x = x - step
@@ -133,10 +157,11 @@ def _solve_poly(n: int, factor, precision: int | None):
 def solve_beta(n: int, precision: int | None = None) -> AlgebraicBeta:
     """Solve for beta_n and populate the derived constants.
 
-    precision=None uses doubles; an integer is an mpmath significand width in
-    bits (>= 100), in which case all fields are mpf values.
+    precision=None uses doubles (n <= 77); an integer is an mpmath
+    significand width in bits (>= 100), in which case all fields are mpf
+    values.
     """
-    _check_args(n, precision)
+    _check_args(n, precision, "beta_n", _BETA_DOUBLE_N_MAX)
     beta = _solve_poly(n, 1, precision)
     a = 1 / (beta * beta - 1)
     b = beta * a
@@ -147,8 +172,10 @@ def solve_beta(n: int, precision: int | None = None) -> AlgebraicBeta:
 
 
 def solve_lambda(n: int, precision: int | None = None) -> PerronValue:
-    """Solve for lambda_n (largest root of x^n = 2(1 + x + ... + x^(n-2)))."""
-    _check_args(n, precision)
+    """Solve for lambda_n (largest root of x^n = 2(1 + x + ... + x^(n-2))).
+
+    precision=None uses doubles (n <= 53); see `solve_beta`."""
+    _check_args(n, precision, "lambda_n", _LAMBDA_DOUBLE_N_MAX)
     lam = _solve_poly(n, 2, precision)
     if not (1 < lam < 2):
         raise InvariantViolationError(f"lambda out of (1,2) at n={n}: {lam!r}")

@@ -21,7 +21,7 @@ from . import kernels, markov, measures, verify
 from .algebra import MIN_PRECISION, solve_beta, solve_lambda
 from .dynamics import (CoinStream, PointState, orbit, orbit_to_csv,
                        return_time, step)
-from .errors import ShrinkBetaError
+from .errors import PrecisionLimitError, ShrinkBetaError
 from .gls import return_time_law
 from .symbolic import mme_entropy
 
@@ -75,7 +75,7 @@ def cmd_constants(args) -> int:
     h_k = math.log(float(lam))
     h_ind = float(markov.induced_parry_entropy(args.n, bits))
     h_max = mme_entropy(args.n)
-    law = return_time_law(solve_beta(args.n))
+    law = return_time_law(ctx)
     report = {
         "n": args.n,
         "beta": float(ctx.beta),
@@ -90,7 +90,7 @@ def cmd_constants(args) -> int:
         "margin": _scale(h_max - h_ind, args.log_base),
         "root_gap": float(lam) - float(ctx.beta),
         "mu_center": float(mu_center),
-        "expected_tau": sum(t * w for t, w in law.items()),
+        "expected_tau": float(sum(t * w for t, w in law.items())),
     }
     if args.format == "json":
         _emit(_dump_json({k: _jnum(v) if isinstance(v, float) else v
@@ -136,7 +136,7 @@ def _orbit_simulate(args, ctx) -> str:
 
 def _bulk_simulate(args, ctx) -> str:
     points = args.points
-    steps = max(1, args.samples // points)
+    steps = args.samples // points
     total = points * steps
     x0 = kernels.uniform_starts(args.seed, points, ctx.a, ctx.b)
     hist, _, tau1 = kernels.induced_stats(ctx, x0, steps, args.seed)
@@ -168,6 +168,9 @@ def _bulk_simulate(args, ctx) -> str:
 
 
 def cmd_simulate(args) -> int:
+    if args.x0 is None and args.samples < args.points:
+        raise UsageError(f"--samples must be >= --points ({args.points}) "
+                         f"in bulk mode, got {args.samples}")
     ctx = solve_beta(args.n)
     if args.x0 is not None:
         _emit(_orbit_simulate(args, ctx), args.out)
@@ -388,7 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=_at_least(0), default=32,
                    help="orbit steps when --x0 is given")
     p.add_argument("--samples", type=_at_least(1), default=100000,
-                   help="total induced steps in bulk mode")
+                   help="total induced steps in bulk mode, at least "
+                        "--points; rounded down to a multiple of --points")
     p.add_argument("--points", type=_at_least(1), default=1024,
                    help="number of parallel start points in bulk mode")
     p.set_defaults(fn=cmd_simulate)
@@ -440,7 +444,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except UsageError as exc:
+    except (UsageError, PrecisionLimitError) as exc:
         parser.error(f"{args.command}: {exc}")
     except ShrinkBetaError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -34,3 +34,8 @@ class InvariantViolationError(ShrinkBetaError):
 class InequalityViolationError(ShrinkBetaError):
     """A strict inequality that must hold came out non-positive; indicates an
     implementation bug, not a tolerable numerical deviation."""
+
+
+class PrecisionLimitError(ShrinkBetaError, ValueError):
+    """n lies beyond what the requested precision resolves; a usage error,
+    not a failed invariant."""

@@ -37,7 +37,11 @@ def induced_stats(ctx, x0, steps: int, seed: int, backend=None):
     """Bulk first-return statistics. Returns (hist, final_x, tau1_count);
     hist[t] counts returns at time t over all points and steps. Starts
     must be finite."""
-    impl = {None: _impl, "python": _pure, "compiled": _impl}[backend]
+    impls = {None: _impl, "python": _pure, "compiled": _impl}
+    if backend not in impls:
+        raise ValueError("backend must be None, 'python' or 'compiled', "
+                         f"got {backend!r}")
+    impl = impls[backend]
     if backend == "compiled" and BACKEND != "compiled":
         raise RuntimeError("compiled backend requested but not built")
     x0 = np.ascontiguousarray(x0, dtype=np.float64)

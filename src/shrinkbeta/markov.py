@@ -188,10 +188,21 @@ def _inv_cd_direct(lam, n: int):
     entropy path as well as the double-precision builder.
     """
     total = lam ** n  # center: u_c * v_c = lam * lam^(n-1)
-    for i in range(n - 1):
-        s = sum(lam ** j for j in range(i + 1))
-        total += 2 * (s / lam ** i) * lam ** i  # two mirrored wings
+    for s, power in _wing_sums(lam, n):
+        total += 2 * (s / power) * power  # two mirrored wings
     return total
+
+
+def _wing_sums(lam, n: int):
+    """(s_i, lam^i) for i = 0..n-2, where s_i = 1 + lam + ... + lam^i is
+    one running sum from 0, added left to right in lam's arithmetic."""
+    s = 0
+    out = []
+    for i in range(n - 1):
+        power = lam ** i
+        s = s + power
+        out.append((s, power))
+    return out
 
 
 def eigen_closed_form(lam, n: int):
@@ -206,9 +217,8 @@ def eigen_closed_form(lam, n: int):
     size = 2 * n - 1
     v = np.array([lam ** min(i, size - 1 - i) for i in range(size)])
     u_unit = np.empty(size)
-    for i in range(n - 1):
-        s = sum(lam ** j for j in range(i + 1))
-        u_unit[i] = s / lam ** i
+    for i, (s, power) in enumerate(_wing_sums(lam, n)):
+        u_unit[i] = s / power
         u_unit[size - 1 - i] = u_unit[i]
     u_unit[n - 1] = lam
     inv_cd = math.fsum(float(a) * float(b) for a, b in zip(u_unit, v))

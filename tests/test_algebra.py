@@ -5,9 +5,13 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from shrinkbeta import algebra
 from shrinkbeta.algebra import (AlgebraicBeta, eval_word, solve_beta,
                                 solve_lambda)
+from shrinkbeta.errors import PrecisionLimitError
 
 # frozen from 50-digit mpmath evaluations of the defining polynomials
 BETA3 = 1.324717957244746
@@ -144,3 +148,67 @@ def test_grid_sign_changes_counts_roots():
     assert grid_sign_changes(f, 1.0, 2.0, 4000) == 1
     g = lambda_defining_poly(3)
     assert grid_sign_changes(g, 1.0, 2.0, 4000) == 1
+
+
+def reference_mp_root(n, factor, precision):
+    """The former extended-precision root: 80 bisection steps whose signs
+    come from f evaluated in rounded mpf arithmetic, then Newton."""
+    f, fp = algebra._poly(n, factor)
+    with mpmath.workprec(precision + 20):
+        lo, hi = mpmath.mpf(1), mpmath.mpf(2)
+        for _ in range(80):
+            mid = (lo + hi) / 2
+            if f(mid) > 0:
+                hi = mid
+            else:
+                lo = mid
+        x = (lo + hi) / 2
+        for _ in range(40):
+            step = f(x) / fp(x)
+            x = x - step
+            if abs(step) < mpmath.mpf(2) ** (-(precision + 10)):
+                break
+        return +x
+
+
+def _assert_root_matches_reference(n, factor, precision):
+    got = algebra._solve_poly(n, factor, precision)
+    want = reference_mp_root(n, factor, precision)
+    # exact signs differ from rounded ones only where rounding got a sign
+    # wrong: a mismatch is a finding to report, not a tolerance to widen
+    assert got._mpf_ == want._mpf_, (
+        f"n={n} factor={factor} precision={precision}: {got} != {want}")
+
+
+@pytest.mark.parametrize("factor", [1, 2])
+@pytest.mark.parametrize("precision,n_values", [
+    # check_inequality above n = 30: `entropy --n-range 3..60`, verify
+    (150, range(31, 61)),
+    # `entropy --precision 200 --n 40`, `constants --n 40 --precision 200`
+    (200, range(3, 41)),
+], ids=["150-bits", "200-bits"])
+def test_mp_roots_match_reference_where_cli_solves(precision, n_values,
+                                                    factor):
+    for n in n_values:
+        _assert_root_matches_reference(n, factor, precision)
+
+
+@settings(max_examples=15, deadline=None)
+@given(n=st.integers(3, 150), precision=st.integers(100, 400),
+       factor=st.sampled_from([1, 2]))
+def test_mp_root_matches_reference(n, precision, factor):
+    _assert_root_matches_reference(n, factor, precision)
+
+
+@pytest.mark.parametrize("solve,root,n_max", [
+    (solve_lambda, lambda value: value.lam, 53),
+    (solve_beta, lambda ctx: ctx.beta, 77),
+], ids=["lambda", "beta"])
+def test_double_precision_limit(solve, root, n_max):
+    assert 1 < root(solve(n_max)) < 2
+    with pytest.raises(PrecisionLimitError,
+                       match=f"n <= {n_max}, got n={n_max + 1}; pass "
+                             "precision") as err:
+        solve(n_max + 1)
+    assert isinstance(err.value, ValueError)
+    assert 1 < root(solve(n_max + 1, precision=150)) < 2

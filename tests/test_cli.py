@@ -95,9 +95,19 @@ def test_n_below_three_is_usage_error():
     (["parry", "--n", "3", "--samples", "2499"], ">= 2500 for n=3"),
     (["parry", "--n", "3", "--samples", "-1"], ">= 2500 for n=3"),
     (["entropy", "--n", "4", "--samples", "4899"], ">= 4900 for n=4"),
+    (["simulate", "--n", "3", "--samples", "10"],
+     "--samples must be >= --points (1024) in bulk mode, got 10"),
+    (["simulate", "--samples", "63", "--points", "64"],
+     "--samples must be >= --points (64)"),
+    (["constants", "--n", "54"], "lambda_n in doubles supports n <= 53"),
+    (["markov", "--n", "60"], "lambda_n in doubles supports n <= 53"),
+    (["simulate", "--n", "78", "--samples", "2000"],
+     "beta_n in doubles supports n <= 77"),
 ], ids=["precision-50", "precision-abc", "entropy-precision-64", "points-0",
         "samples-0", "steps-negative", "parry-samples-2499",
-        "parry-samples-negative", "entropy-samples-4899"])
+        "parry-samples-negative", "entropy-samples-4899",
+        "samples-below-default-points", "samples-below-points",
+        "constants-n-54", "markov-n-60", "simulate-n-78"])
 def test_bad_precision_or_size_is_usage_error(argv, message, capsys):
     with pytest.raises(SystemExit) as err:
         main(argv)
@@ -112,6 +122,23 @@ def test_chain_sample_minimum_is_inclusive(capsys):
     assert main(["parry", "--n", "3", "--samples", "2500"]) == 0
     assert "empirical_rate" in json.loads(capsys.readouterr().out)
     assert main(["entropy", "--n", "4", "--samples", "4900"]) == 0
+
+
+def test_bulk_samples_equal_to_points_runs(capsys):
+    # one induced step per point: the smallest bulk run accepted
+    rc, out = _run(capsys, ["simulate", "--samples", "64", "--points", "64"])
+    assert rc == 0
+    assert json.loads(out)["samples"] == 64
+
+
+def test_n_beyond_doubles_runs_with_precision(capsys):
+    assert main(["constants", "--n", "53"]) == 0
+    assert json.loads(capsys.readouterr().out)["n"] == 53
+    # above both double limits (53 for lambda_n, 77 for beta_n)
+    rc, out = _run(capsys, ["constants", "--n", "78", "--precision", "150"])
+    assert rc == 0
+    rep = json.loads(out)
+    assert rep["margin"] > 0 and 3 < rep["expected_tau"] < 4
 
 
 def test_missing_subcommand_is_usage_error():

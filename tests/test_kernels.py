@@ -152,6 +152,13 @@ def test_compiled_request_without_build():
         kernels.induced_stats(CTX, np.array([1.5]), 1, 1, backend="compiled")
 
 
+@pytest.mark.parametrize("backend", ["numpy", "", "Python"])
+def test_unknown_backend_rejected(backend):
+    with pytest.raises(ValueError,
+                       match="None, 'python' or 'compiled', got "):
+        kernels.induced_stats(CTX, np.array([1.5]), 1, 1, backend=backend)
+
+
 @pytest.mark.parametrize("steps", [0, -1])
 def test_chain_sample_rejects_empty_path(steps):
     cum_rows = np.array([[0.5, 1.0], [0.25, 1.0]])

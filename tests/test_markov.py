@@ -2,9 +2,11 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
+from shrinkbeta import markov
 from shrinkbeta.algebra import solve_beta, solve_lambda
 from shrinkbeta.errors import InvariantViolationError
 from shrinkbeta.markov import (adjacency_from_images, build_adjacency,
@@ -172,3 +174,61 @@ def test_sample_chain_deterministic_and_stationary():
     # every realized transition is allowed by the adjacency matrix
     allowed = chain.adjacency[path1[:-1], path1[1:]]
     assert allowed.min() == 1
+
+
+def reference_inv_cd_direct(lam, n):
+    """The former O(n^2) normalisation: each wing sum added from scratch."""
+    total = lam ** n
+    for i in range(n - 1):
+        s = sum(lam ** j for j in range(i + 1))
+        total += 2 * (s / lam ** i) * lam ** i
+    return total
+
+
+def reference_wing_sums(lam, n):
+    return [(sum(lam ** j for j in range(i + 1)), lam ** i)
+            for i in range(n - 1)]
+
+
+def _bits(x):
+    return x._mpf_ if isinstance(x, mpmath.mpf) else float(x).hex()
+
+
+# doubles from the 150-bit roots, so n above the double-precision limit of
+# solve_lambda is covered too
+LAMBDAS = {n: solve_lambda(n, precision=150).lam for n in range(3, 61)}
+
+
+@pytest.mark.parametrize("bits,n_values", [
+    (None, range(3, 61)),
+    (150, range(31, 61)),   # check_inequality's extended rows
+    (200, range(3, 41)),
+], ids=["double", "150-bits", "200-bits"])
+def test_inv_cd_direct_matches_reference(bits, n_values):
+    for n in n_values:
+        lam = (float(LAMBDAS[n]) if bits is None
+               else solve_lambda(n, precision=bits).lam)
+        with mpmath.workprec(bits or 53):
+            assert _bits(_inv_cd_direct(lam, n)) == _bits(
+                reference_inv_cd_direct(lam, n)), n
+
+
+@pytest.mark.parametrize("kind,n_values", [
+    ("double", range(3, 61)),
+    # the object-array residual check is slow: every seventh n
+    ("mpf", range(3, 61, 7)),
+], ids=["double", "mpf"])
+def test_eigen_closed_form_matches_reference_sums(kind, n_values,
+                                                  monkeypatch):
+    def run(lam, n):
+        with mpmath.workprec(150):
+            u, v, cd = eigen_closed_form(lam, n)
+        return [_bits(x) for x in u], [_bits(x) for x in v], _bits(cd)
+
+    for n in n_values:
+        lam = float(LAMBDAS[n]) if kind == "double" else LAMBDAS[n]
+        got = run(lam, n)
+        with monkeypatch.context() as patch:
+            patch.setattr(markov, "_wing_sums", reference_wing_sums)
+            want = run(lam, n)
+        assert got == want, n
