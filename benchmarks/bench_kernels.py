@@ -25,6 +25,11 @@ INDUCED_CASES = [
     (3, 1024, 1000),
     (5, 1024, 1000),
     (10, 4096, 500),
+    # the batch shape of bulk `simulate --points 64`: per-call and
+    # per-step overhead dominate
+    (3, 64, 512),
+    (10, 64, 512),
+    (24, 64, 512),
 ]
 CHAIN_CASES = [
     (3, 1_000_000),

@@ -1,4 +1,4 @@
-"""Counter-based bit/uniform generator (splitmix64 finalizer).
+"""Counter-based generator words and coin bits (splitmix64 finalizer).
 
 Bit k of a seeded stream is addressable directly from (seed, k): no state,
 no sequential generation. The same mixing function is re-implemented
@@ -31,8 +31,3 @@ def raw_at(seed: int, index: int, stream: int = STREAM_COIN) -> int:
 
 def bit_at(seed: int, index: int, stream: int = STREAM_COIN) -> int:
     return raw_at(seed, index, stream) >> 63
-
-
-def uniform_at(seed: int, index: int, stream: int = STREAM_COIN) -> float:
-    """Uniform double in [0, 1) with 53 random mantissa bits."""
-    return (raw_at(seed, index, stream) >> 11) * 2.0 ** -53

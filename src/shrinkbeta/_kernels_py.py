@@ -18,12 +18,15 @@ fast it comes:
   only on the seed and that index). After each coin step it carries only
   the points outside `[a, b]` through the rounds, as an ascending index
   set that shrinks every round, and counts the points that leave per
-  round instead of keeping a return time per point. Fewer than `_TAIL`
-  points finish their rounds in a scalar loop. Rounds stay synchronous
-  over points, so drift and escape are found in the same round, at the
-  same point, as in a loop over all points: a point that has returned
-  sits in `[a, b]`, inside the guard band, and cannot be the one that
-  escapes.
+  round instead of keeping a return time per point. Rounds stay
+  synchronous over points while at least `_TAIL` are out; the fewer left
+  then finish point by point, each in a scalar loop to its return, and
+  go back with one scatter. A point's excursion reads no other point, so
+  only the order in which errors are met changes: the finish keys each
+  point's first error as (round, drift before escape, index) and raises
+  the least, which is the drift or escape the synchronous rounds would
+  meet first, at the same point. A point that has returned sits in
+  `[a, b]`, inside the guard band, and cannot be the one that escapes.
 * `chain_sample` turns each uniform into its bin among the distinct
   values of all cumulative rows with one `searchsorted`, then walks a
   `(state, bin) -> next state` table over Python lists, `_CHAIN_CHUNK`
@@ -42,7 +45,7 @@ _MIX1 = np.uint64(_bits._MIX1)
 _MIX2 = np.uint64(_bits._MIX2)
 _GUARD = 1e-9
 _COIN_WORDS = 16384   # coin words per `_raw` call: 16 steps of 1024 points
-_TAIL = 16            # fewer points than this finish a step's rounds scalar
+_TAIL = 64            # fewer points than this finish a step point by point
 _CHAIN_CHUNK = 65536  # chain steps walked per uniform draw
 
 
@@ -69,16 +72,17 @@ def induced_stats(beta, a, b, domain_max, n_cap, x0, steps, seed):
     """
     x = np.array(x0, dtype=np.float64, copy=True)
     count = x.size
-    hist = np.zeros(n_cap + 2, dtype=np.int64)
+    hist = [0] * (n_cap + 2)
     low, high = -_GUARD, domain_max + _GUARD
     offsets = np.arange(count, dtype=np.uint64) * np.uint64(steps)
     block = max(1, _COIN_WORDS // max(count, 1))
+    least, most = np.minimum.reduce, np.maximum.reduce
     for k0 in range(0, steps, block):
         ks = np.arange(k0, min(k0 + block, steps), dtype=np.uint64)
         z = _raw(seed, _bits.STREAM_COIN, ks[:, None] + offsets)
         for bits in (z >> np.uint64(63)).astype(np.float64):
             x = beta * x - bits
-            idx = np.flatnonzero((x < a) | (x > b))
+            idx = ((x < a) | (x > b)).nonzero()[0]
             hist[1] += count - idx.size
             rounds = 1
             while idx.size >= _TAIL:
@@ -86,7 +90,7 @@ def induced_stats(beta, a, b, domain_max, n_cap, x0, steps, seed):
                     raise RuntimeError(f"drift:{float(x[idx[0]])!r}")
                 v = x[idx]
                 v = beta * v - (v > b)
-                if v.min() < low or v.max() > high:
+                if least(v) < low or most(v) > high:
                     bad = (v < low) | (v > high)
                     raise RuntimeError(f"escape:{float(v[bad][0])!r}")
                 x[idx] = v
@@ -95,32 +99,38 @@ def induced_stats(beta, a, b, domain_max, n_cap, x0, steps, seed):
                 hist[rounds + 1] += left - idx.size
                 rounds += 1
             if idx.size:
-                _tail_rounds(beta, a, b, low, high, n_cap, x, hist,
-                             idx.tolist(), x[idx].tolist(), rounds)
-    return hist, x, int(hist[1])
+                x[idx] = _finish(beta, a, b, low, high, n_cap, hist,
+                                 x[idx].tolist(), rounds)
+    return np.array(hist, dtype=np.int64), x, hist[1]
 
 
-def _tail_rounds(beta, a, b, low, high, n_cap, x, hist, idx, v, rounds):
-    """Finish a step's rounds for a few points, one round over all of them
-    at a time, in index order."""
-    while idx:
-        if rounds > n_cap:
-            raise RuntimeError(f"drift:{v[0]!r}")
-        v = [beta * y - 1.0 if y > b else beta * y for y in v]
-        for y in v:
-            if y < low or y > high:
-                raise RuntimeError(f"escape:{y!r}")
-        left = len(idx)
-        keep = []
-        for j, y in zip(idx, v):
+def _finish(beta, a, b, low, high, n_cap, hist, v, rounds):
+    """Run each of a few points from round `rounds` to its return, one
+    point after the other; `v` holds their values in index order and
+    comes back holding their final values.
+
+    Each point's first error is keyed by (round, drift before escape,
+    position), and the least key is raised: the error the synchronous
+    rounds would meet first."""
+    errors = []
+    for i, y in enumerate(v):
+        r = rounds
+        while r <= n_cap:
+            y = beta * y - 1.0 if y > b else beta * y
             if y < a or y > b:
-                keep.append((j, y))
+                if y < low or y > high:
+                    errors.append((r, 1, i, f"escape:{y!r}"))
+                    break
+                r += 1
             else:
-                x[j] = y
-        idx = [j for j, _ in keep]
-        v = [y for _, y in keep]
-        hist[rounds + 1] += left - len(idx)
-        rounds += 1
+                hist[r + 1] += 1
+                v[i] = y
+                break
+        else:
+            errors.append((r, 0, i, f"drift:{y!r}"))
+    if errors:
+        raise RuntimeError(min(errors)[3])
+    return v
 
 
 def chain_sample(cum_rows, start_cum, steps, seed):

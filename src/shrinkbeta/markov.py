@@ -216,12 +216,15 @@ def eigen_closed_form(lam, n: int):
         lam = lam.lam
     size = 2 * n - 1
     v = np.array([lam ** min(i, size - 1 - i) for i in range(size)])
-    u_unit = np.empty(size)
+    u_unit = np.empty(size, dtype=v.dtype)
     for i, (s, power) in enumerate(_wing_sums(lam, n)):
         u_unit[i] = s / power
         u_unit[size - 1 - i] = u_unit[i]
     u_unit[n - 1] = lam
-    inv_cd = math.fsum(float(a) * float(b) for a, b in zip(u_unit, v))
+    if isinstance(lam, mpmath.mpf):
+        inv_cd = mpmath.fsum(u_unit * v)
+    else:
+        inv_cd = math.fsum(float(a) * float(b) for a, b in zip(u_unit, v))
     cd = 1.0 / inv_cd
     u = cd * u_unit
     res_v, res_u = _residuals(build_adjacency(n), lam, u, v)

@@ -77,7 +77,8 @@ def encode(state: PointState, k: int, ctx: AlgebraicBeta) -> SymbolicWord:
     Letter i is (coin bit consumed at induced step i, its return time).
     Orbits that meet the deleted set (return time 1, or a free step hitting
     an endpoint bitwise-exactly) raise DeletedPointError: their coding is
-    not defined.
+    not defined. So do float orbits that pass within rounding of it and
+    come back after n + 1 steps, a return time no exact orbit has.
     """
     if not (ctx.a <= state.x <= ctx.b):
         raise ValueError(f"encode needs x in [a, b], got {state.x!r}")
@@ -89,7 +90,7 @@ def encode(state: PointState, k: int, ctx: AlgebraicBeta) -> SymbolicWord:
             raise DeletedPointError(
                 f"return time 1 at x={cur.x!r} with coin bit {bit}")
         res = return_time(cur, ctx)
-        if res.t == 1 or res.boundary_hit:
+        if res.t == 1 or res.t > ctx.n or res.boundary_hit:
             raise DeletedPointError(
                 f"orbit from x={cur.x!r} met the deleted set (t={res.t}, "
                 f"boundary_hit={res.boundary_hit})")

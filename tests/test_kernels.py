@@ -50,6 +50,12 @@ def test_raw_stream_is_splitmix64():
     assert _bits.raw_at(0, 2) == 0x06C45D188009454F
 
 
+def uniform_at(seed, index, stream=_bits.STREAM_COIN):
+    """Scalar reference: uniform double in [0, 1) with 53 random mantissa
+    bits."""
+    return (_bits.raw_at(seed, index, stream) >> 11) * 2.0 ** -53
+
+
 def test_vectorized_streams_match_scalar():
     seed = 987654321
     bits = kernels.coin_bits(seed, 200)
@@ -57,8 +63,7 @@ def test_vectorized_streams_match_scalar():
         [_bits.bit_at(seed, k) for k in range(200)]
     uniforms = kernels.uniform_array(seed, 200)
     for k in (0, 1, 63, 199):
-        assert float(uniforms[k]) == _bits.uniform_at(seed, k,
-                                                      _bits.STREAM_CHAIN)
+        assert float(uniforms[k]) == uniform_at(seed, k, _bits.STREAM_CHAIN)
     assert uniforms.min() >= 0.0 and uniforms.max() < 1.0
 
 
@@ -363,6 +368,47 @@ def test_fake_beta_drift_matches_reference():
             np.array([1.5, 1.2, 1.5]), 4, 1)
     got = _outcome(_kernels_py.induced_stats, *args)
     assert got[0] == "error" and got[1].startswith("drift:")
+    assert got == _outcome(reference_induced_stats, *args)
+
+
+def _landing_args(landing, n_cap, seed=3):
+    """Kernel arguments at beta = 2 on [1/4, 3/4] whose one coin step
+    lands each point on (about) its `landing` value: with steps = 1,
+    point j reads coin j."""
+    x0 = (np.array(landing) + kernels.coin_bits(seed, len(landing))) / 2
+    return 2.0, 0.25, 0.75, 1.0, n_cap, x0, 1, seed
+
+
+def _escape_at(r, scale):
+    """A landing below a that doubles past the guard band at round r:
+    scale in (1, 2) sets the escape value, about -scale * guard."""
+    return -scale * _kernels_py._GUARD / 2 ** r
+
+
+# enough points returning at time 2 that the first round stays in numpy
+# at the default `_TAIL`; the bad points then finish on their own
+FILL = [0.125] * _kernels_py._TAIL
+ROUND_ORDER_CASES = {
+    # the higher-index point escapes at round 4, the lower one at round 5
+    "later-point-escapes-first": ([*FILL, _escape_at(5, 1.25), *FILL,
+                                   _escape_at(4, 1.5), *FILL], 12, "escape"),
+    # 0 doubles to 0 forever: a drift at round n + 1 = 7 before an
+    # escape at round 3
+    "drift-beside-earlier-escape": ([*FILL, 0.0, *FILL,
+                                     _escape_at(3, 1.5)], 6, "escape"),
+    # 1 and 0 are both fixed: two drifts, and the lower index names it
+    "two-drifts": ([*FILL, 1.0, *FILL, 0.0], 3, "drift"),
+}
+
+
+@pytest.mark.parametrize("tail", [_kernels_py._TAIL, 2, 10 ** 6])
+@pytest.mark.parametrize("case", ROUND_ORDER_CASES)
+def test_errors_follow_round_order_not_point_order(case, tail):
+    landing, n_cap, kind = ROUND_ORDER_CASES[case]
+    args = _landing_args(landing, n_cap)
+    with mock.patch.object(_kernels_py, "_TAIL", tail):
+        got = _outcome(_kernels_py.induced_stats, *args)
+    assert got[0] == "error" and got[1].startswith(kind + ":")
     assert got == _outcome(reference_induced_stats, *args)
 
 

@@ -232,3 +232,12 @@ def test_eigen_closed_form_matches_reference_sums(kind, n_values,
             patch.setattr(markov, "_wing_sums", reference_wing_sums)
             want = run(lam, n)
         assert got == want, n
+
+
+def test_eigen_closed_form_stays_in_mpf():
+    # an mpf lam gives mpf eigenvectors normalised in mpf, not doubles
+    with mpmath.workprec(150):
+        u, v, cd = eigen_closed_form(LAMBDAS[40], 40)
+        assert all(isinstance(x, mpmath.mpf) for x in u)
+        assert isinstance(cd, mpmath.mpf)
+        assert abs(mpmath.fsum(u * v) - 1) <= mpmath.mpf(2) ** -140

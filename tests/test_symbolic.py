@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from shrinkbeta.algebra import eval_word, solve_beta
 from shrinkbeta.dynamics import CoinStream, PointState, induced_step
@@ -62,11 +64,58 @@ def test_encode_shift_is_induced_step():
         assert encode(after, 5, CTX).letters == word.shifted().letters
 
 
+@st.composite
+def coded_starts(draw, digits=None):
+    """A context for n in 3..12, a seeded start inside (a, b) and a word
+    length k; with `digits`, k letters stay within that many digits, so
+    the tail bound stays far above the float orbit's rounding."""
+    ctx = solve_beta(draw(st.integers(3, 12)))
+    x = draw(st.floats(ctx.a, ctx.b, exclude_min=True, exclude_max=True))
+    state = PointState(CoinStream.seeded(draw(st.integers(0, 2 ** 64 - 1))),
+                       x)
+    k = draw(st.integers(1, digits // ctx.n) if digits
+             else st.integers(2, 12))
+    return ctx, state, k
+
+
+def _encode_or_skip(state, k, ctx):
+    try:
+        return encode(state, k, ctx)
+    except DeletedPointError:
+        assume(False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(coded_starts())
+def test_encode_shift_is_induced_step_property(case):
+    ctx, state, k = case
+    word = _encode_or_skip(state, k, ctx)
+    after = induced_step(state, ctx)
+    assert encode(after, k - 1, ctx).letters == word.shifted().letters
+
+
+@settings(max_examples=100, deadline=None)
+@given(coded_starts(digits=30))
+def test_decode_within_tail_property(case):
+    ctx, state, k = case
+    value, tail = decode(_encode_or_skip(state, k, ctx), ctx)
+    assert abs(value - state.x) <= tail
+
+
 def test_encode_rejects_deleted_points():
     with pytest.raises(DeletedPointError):
         encode(PointState(CoinStream.explicit([0]), CTX.a), 1, CTX)
     with pytest.raises(DeletedPointError):
         encode(PointState(CoinStream.explicit([1]), CTX.b), 1, CTX)
+
+
+def test_encode_rejects_return_time_above_n():
+    # one ulp above a with coin 1: the float orbit follows a's own orbit,
+    # which hits a after n steps, and rounds to just below it
+    ctx = solve_beta(12)
+    state = PointState(CoinStream.explicit([1]), math.nextafter(ctx.a, 2))
+    with pytest.raises(DeletedPointError, match="t=13"):
+        encode(state, 1, ctx)
 
 
 def test_decode_inverts_encode_within_tail():
