@@ -4,12 +4,17 @@ Subcommands: constants, simulate, markov, parry, verify, entropy. Every
 artifact is plain CSV or JSON with floats at 12 significant digits, and a
 fixed config maps to byte-identical output. Exit codes: 0 success, 1
 verification/runtime failure, 2 usage error.
+
+`main(argv)` can be called repeatedly in one process: it builds its parser
+on the first call and reuses it, since each parse keeps its state in the
+namespace it returns. `build_parser()` returns a new parser on every call.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -439,8 +444,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     try:
         return args.fn(args)

@@ -95,9 +95,12 @@ class ReturnTimeResult:
 
 
 def step(state: PointState, ctx: AlgebraicBeta):
-    """One application of the map. Returns (new_state, digit)."""
+    """One application of the map. Returns (new_state, digit).
+
+    A start outside the domain, NaN included, raises OrbitEscapeError.
+    """
     x = state.x
-    if x < -_DRIFT_GUARD or x > ctx.domain_max + _DRIFT_GUARD:
+    if not -_DRIFT_GUARD <= x <= ctx.domain_max + _DRIFT_GUARD:
         raise OrbitEscapeError(x, 0.0, ctx.domain_max, "before step")
     beta = ctx.beta
     if x < ctx.a:

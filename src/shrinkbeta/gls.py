@@ -16,7 +16,6 @@ branch-length vector is exactly the return-time law (beta^-2, ..., beta^-n).
 from __future__ import annotations
 
 import bisect
-import json
 from dataclasses import dataclass
 
 from .algebra import AlgebraicBeta
@@ -64,18 +63,6 @@ class GlsPartition:
     def branch_lengths(self) -> tuple:
         bp = self.breakpoints
         return tuple(bp[i + 1] - bp[i] for i in range(len(bp) - 1))
-
-    def to_json(self) -> dict:
-        return {
-            "side": self.side,
-            "breakpoints": list(self.breakpoints),
-            "slopes": list(self.slopes),
-            "offsets": list(self.offsets),
-            "return_times": list(self.return_times),
-        }
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,6 @@ the uniform product measure, with entropy log(2(n-1)).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -38,6 +37,7 @@ class SymbolicWord:
         return len(self.letters)
 
     def shifted(self) -> "SymbolicWord":
+        """The shift map: the word without its first letter."""
         return SymbolicWord(self.letters[1:])
 
     def digits(self) -> list:
@@ -46,24 +46,6 @@ class SymbolicWord:
             out.append(c)
             out.extend([1 - c] * (t - 1))
         return out
-
-    def to_csv(self) -> str:
-        return "\n".join(f"{c},{t}" for (c, t) in self.letters) + "\n"
-
-    @classmethod
-    def from_csv(cls, text: str) -> "SymbolicWord":
-        letters = []
-        for line in text.strip().splitlines():
-            c, t = line.split(",")
-            letters.append((int(c), int(t)))
-        return cls(tuple(letters))
-
-    def to_json(self) -> str:
-        return json.dumps([[c, t] for (c, t) in self.letters])
-
-    @classmethod
-    def from_json(cls, text: str) -> "SymbolicWord":
-        return cls(tuple((int(c), int(t)) for c, t in json.loads(text)))
 
 
 def alphabet(n: int):

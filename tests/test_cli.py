@@ -1,16 +1,18 @@
 """CLI surface: artifacts, exit codes, determinism."""
 
+import argparse
 import csv
 import hashlib
 import io
 import json
 import math
+import shlex
 from pathlib import Path
 
 import pytest
 
 from shrinkbeta import kernels
-from shrinkbeta.cli import main
+from shrinkbeta.cli import build_parser, main
 
 LOG4 = math.log(4.0)
 
@@ -175,6 +177,15 @@ def test_orbit_escape_is_runtime_error(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("x0", ["nan", "inf"])
+def test_non_finite_start_is_runtime_error(x0, capsys):
+    rc = main(["simulate", "--n", "3", "--x0", x0, "--steps", "4"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: orbit escaped")
+
+
 def test_bulk_simulate_json(capsys):
     rc, out = _run(capsys, ["simulate", "--samples", "2000", "--points",
                             "64", "--n", "4"])
@@ -318,3 +329,74 @@ def test_verify_stdout_matches_recorded_digest(argv, capsys):
     rc, out = _run(capsys, argv)
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == want
+
+
+def test_main_reuses_one_parser(monkeypatch, capsys):
+    main(["constants", "--n", "3"])  # warm-up: may build the parser
+    added = []
+    original = argparse.ArgumentParser.add_argument
+
+    def counting(self, *args, **kwargs):
+        added.append(args)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting)
+    for n in range(3, 13):
+        assert main(["constants", "--n", str(n)]) == 0
+    capsys.readouterr()
+    assert added == []
+
+
+def test_build_parser_returns_a_new_parser():
+    assert build_parser() is not build_parser()
+
+
+_INTERLEAVED = [
+    ("constants --n 3", 0),
+    ("simulate --points 0", 2),
+    ("simulate --x0 5.0 --steps 4", 1),
+    ("verify --suite markov --n 3 --corrupt-adjacency", 1),
+    ("verify --suite markov --n 3", 0),
+    ("simulate --n 4 --samples 2000 --points 64", 0),
+]
+
+
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def test_parser_reuse_keeps_calls_independent(capsys):
+    # one sequence, forwards then backwards, in one process: no call may
+    # see state left by another
+    seen = {}
+    for order in (_INTERLEAVED, _INTERLEAVED[::-1]):
+        for line, want in order:
+            rc = _exit_code(shlex.split(line))
+            out = capsys.readouterr().out
+            assert rc == want, line
+            seen.setdefault(line, []).append(out.encode())
+    for line, outs in seen.items():
+        assert outs[0] == outs[1], line
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_cli_lines():
+    text = README.read_text()
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1]
+    block = block.split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("shrinkbeta ")]
+
+
+def test_readme_cli_examples_run(capsys):
+    examples = _readme_cli_lines()
+    assert len(examples) == 7
+    for argv in examples:
+        rc, out = _run(capsys, argv)
+        assert rc == 0, argv
+        assert out, argv

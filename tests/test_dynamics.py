@@ -112,6 +112,14 @@ def test_escape_guard():
         step(_state(CTX.domain_max + 1.0, []), CTX)
 
 
+def test_nan_start_escapes_before_step():
+    # NaN fails every comparison, so it must not pass for a switch point
+    with pytest.raises(OrbitEscapeError, match="before step"):
+        step(_state(float("nan"), [1]), CTX)
+    with pytest.raises(OrbitEscapeError, match="before step"):
+        orbit(PointState(CoinStream.seeded(1), float("nan")), 4, CTX)
+
+
 def test_explicit_stream_exhausts():
     state = _state(1.5, [1])
     res = return_time(state, CTX)  # consumes the only bit

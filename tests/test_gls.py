@@ -112,14 +112,6 @@ def test_slope_reciprocals_sum_to_one():
         assert math.fsum(1.0 / s for s in part.slopes) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_partition_json_roundtrip_stable():
-    gp = greedy_breakpoints(CTX3)
-    d = gp.to_json()
-    assert d["side"] == "greedy"
-    assert d["breakpoints"] == list(gp.breakpoints)
-    assert gp.dumps() == gp.dumps()
-
-
 def test_corrupted_partition_rejected_on_apply():
     gp = greedy_breakpoints(CTX3)
     bad = GlsPartition(side="greedy", n=gp.n, a=gp.a, b=gp.b,

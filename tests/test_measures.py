@@ -88,6 +88,28 @@ def test_pushforward_negative_control():
     assert res.deviation > 1e-3
 
 
+@st.composite
+def pushforward_inputs(draw):
+    n = draw(st.integers(3, 12))
+    length = draw(st.integers(1, 6))
+    coins, rts = [], []
+    budget = 40  # return times sum to at most this
+    for left in range(length - 1, -1, -1):
+        t = draw(st.integers(2, min(n, budget - 2 * left)))
+        budget -= t
+        rts.append(t)
+        coins.append(draw(st.integers(0, 1)))
+    spec = CylinderSpec(coins=tuple(coins), rts=tuple(rts))
+    return spec, draw(st.floats(0.01, 0.99)), solve_beta(n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(args=pushforward_inputs())
+def test_pushforward_exact_property(args):
+    # the tolerance of verify's coding-pushforward-product row
+    assert pushforward_check(*args).deviation <= 1e-12
+
+
 def test_integral_tau():
     assert integral_tau(LEB, CTX) == pytest.approx(INTEGRAL_TAU3, abs=1e-14)
     assert integral_tau(UNI, CTX) == pytest.approx(2.5, abs=1e-14)

@@ -41,12 +41,6 @@ def test_word_validation():
         SymbolicWord(((1, 1),))
 
 
-def test_word_serialization_roundtrip():
-    w = SymbolicWord(((1, 2), (0, 3), (1, 3)))
-    assert SymbolicWord.from_csv(w.to_csv()) == w
-    assert SymbolicWord.from_json(w.to_json()) == w
-
-
 def test_encode_reads_off_induced_orbit():
     state = PointState(CoinStream.explicit([1, 0]), 1.40)
     word = encode(state, 2, CTX)
