@@ -1,12 +1,10 @@
-"""Compare the compiled and pure-numpy bulk kernels.
+"""Time the bulk kernels.
 
 Runs the first-return statistics loop (`induced_stats`) and the Parry
-chain sampler (`chain_sample`) on each available backend for a few problem
-sizes and prints the best wall times plus the speedup. The two backends
-are bit-for-bit interchangeable, so this is purely a throughput
-measurement. A last table times the extended-precision work behind
-`entropy --n-range 3..60`, which no backend touches: `solve_lambda` at
-150 bits for n = 31..60 from an empty root cache, and `_inv_cd_direct`
+chain sampler (`chain_sample`) for a few problem sizes and prints the
+best wall times. A last table times the extended-precision work behind
+`entropy --n-range 3..60`, which the kernels do not touch: `solve_lambda`
+at 150 bits for n = 31..60 from an empty root cache, and `_inv_cd_direct`
 on those roots.
 
 Usage: python3 benchmarks/bench_kernels.py [--repeat 3] [--seed 1]
@@ -49,43 +47,24 @@ def _best(call, repeat):
     return best
 
 
-def _print_row(row, backends, times):
-    for backend in backends:
-        row += f" {times[backend]:>14.4f}"
-    if len(backends) == 2:
-        row += f" {times['python'] / times['compiled']:>8.1f}x"
-    print(row)
-
-
 def run(repeat: int, seed: int) -> None:
-    backends = {"python": kernels._pure}
-    if kernels.BACKEND == "compiled":
-        backends = {"compiled": kernels._impl, **backends}
-    else:
-        print("compiled extension not built; timing the fallback only")
-    columns = "".join(f" {backend + ' [s]':>14}" for backend in backends)
-    if len(backends) == 2:
-        columns += f" {'speedup':>9}"
-
-    print(f"induced_stats\n{'n':>4} {'points':>8} {'steps':>7}" + columns)
+    print(f"induced_stats\n{'n':>4} {'points':>8} {'steps':>7} {'[s]':>14}")
     for n, points, steps in INDUCED_CASES:
         ctx = solve_beta(n)
         x0 = kernels.uniform_starts(seed, points, ctx.a + 1e-9,
                                     ctx.b - 1e-9)
-        times = {backend: _best(lambda: kernels.induced_stats(
-                     ctx, x0, steps, seed, backend=backend), repeat)
-                 for backend in backends}
-        _print_row(f"{n:>4} {points:>8} {steps:>7}", backends, times)
+        best = _best(lambda: kernels.induced_stats(ctx, x0, steps, seed),
+                     repeat)
+        print(f"{n:>4} {points:>8} {steps:>7} {best:>14.4f}")
 
-    print(f"chain_sample\n{'n':>4} {'steps':>16}" + columns)
+    print(f"chain_sample\n{'n':>4} {'steps':>16} {'[s]':>14}")
     for n, steps in CHAIN_CASES:
         chain = markov.build_chain(n)
         cum_rows = np.cumsum(chain.P_trans, axis=1)
         start_cum = np.cumsum(chain.p)
-        times = {backend: _best(lambda: impl.chain_sample(
-                     cum_rows, start_cum, steps, seed), repeat)
-                 for backend, impl in backends.items()}
-        _print_row(f"{n:>4} {steps:>16}", backends, times)
+        best = _best(lambda: kernels.chain_sample(cum_rows, start_cum, steps,
+                                                  seed), repeat)
+        print(f"{n:>4} {steps:>16} {best:>14.4f}")
 
     def solve_cold():
         algebra._solve_poly.cache_clear()

@@ -1,55 +1,6 @@
-"""Build script: compiles the optional C kernel extension.
-
-The package works without the extension (a numpy fallback is selected at
-import time), so any failure here degrades to a pure-Python install instead
-of aborting.
-"""
-
-import sys
+"""Build script. The package is pure Python; `setup.py build_ext --inplace`
+builds nothing and exits 0."""
 
 from setuptools import setup
-from setuptools.command.build_ext import build_ext
 
-
-class OptionalBuildExt(build_ext):
-    """Build the extension if possible; otherwise warn and continue."""
-
-    def run(self):
-        try:
-            super().run()
-        except Exception as exc:  # compiler missing, etc.
-            print(f"warning: skipping C kernel build ({exc}); "
-                  "pure-Python fallback will be used", file=sys.stderr)
-
-    def build_extension(self, ext):
-        try:
-            super().build_extension(ext)
-        except Exception as exc:
-            print(f"warning: could not build {ext.name} ({exc}); "
-                  "pure-Python fallback will be used", file=sys.stderr)
-
-
-def _extensions():
-    try:
-        import numpy as np
-        from Cython.Build import cythonize
-        from setuptools import Extension
-    except ImportError as exc:
-        print(f"warning: {exc}; building without the C kernel", file=sys.stderr)
-        return []
-    # -ffp-contract=off keeps multiply/subtract as two roundings so the C
-    # orbit loop is bit-identical to the numpy fallback (no FMA contraction).
-    flags = ["-O3", "-ffp-contract=off"]
-    ext = Extension(
-        "shrinkbeta._kernels",
-        ["src/shrinkbeta/_kernels.pyx"],
-        include_dirs=[np.get_include()],
-        extra_compile_args=flags,
-    )
-    return cythonize([ext], language_level="3")
-
-
-setup(
-    ext_modules=_extensions(),
-    cmdclass={"build_ext": OptionalBuildExt},
-)
+setup()

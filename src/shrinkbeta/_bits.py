@@ -2,8 +2,7 @@
 
 Bit k of a seeded stream is addressable directly from (seed, k): no state,
 no sequential generation. The same mixing function is re-implemented
-vectorized in the numpy kernel and in C in the compiled kernel; all three
-must stay bit-for-bit identical.
+vectorized in the numpy kernel; the two must stay bit-for-bit identical.
 """
 
 _MASK = (1 << 64) - 1

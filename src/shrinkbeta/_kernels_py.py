@@ -1,15 +1,13 @@
-"""Pure-numpy implementations of the hot loops.
+"""The bulk loops, in numpy: the package's one kernel.
 
-Used when the compiled extension is unavailable. Must stay bit-for-bit
-equivalent to `_kernels.pyx`: same counter-based coin stream, same
-multiply-then-subtract update order, same drift guards. Both backends raise
-bare RuntimeError with a structured "kind:payload" message; the dispatcher
-in `kernels` translates those into the package's typed errors.
+They raise bare RuntimeError with a structured "kind:payload" message;
+`kernels` checks their inputs and translates those messages into the
+package's typed errors.
 
 The invariant that keeps every output bit fixed is the per-point order of
 float operations: each point sees `x = beta*x - bit` for its coin, then
 `x = beta*x - 1.0` (above `b`) or `beta*x` (below `a`) once per round until
-it lands in `[a, b]`, exactly as the point-major compiled loop does. How
+it lands in `[a, b]`, exactly as the scalar `dynamics.step` does. How
 points are grouped into numpy calls does not change a result, only how
 fast it comes:
 

@@ -18,6 +18,7 @@ round.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -159,15 +160,17 @@ def solve_beta(n: int, precision: int | None = None) -> AlgebraicBeta:
 
     precision=None uses doubles (n <= 77); an integer is an mpmath
     significand width in bits (>= 100), in which case all fields are mpf
-    values.
+    values computed at the root's working precision, precision + 20.
     """
     _check_args(n, precision, "beta_n", _BETA_DOUBLE_N_MAX)
     beta = _solve_poly(n, 1, precision)
-    a = 1 / (beta * beta - 1)
-    b = beta * a
-    domain_max = 1 / (beta - 1)
-    ctx = AlgebraicBeta(n=n, beta=beta, a=a, b=b, domain_max=domain_max)
-    _check_ctx(ctx)
+    with (contextlib.nullcontext() if precision is None
+          else mpmath.workprec(precision + 20)):
+        a = 1 / (beta * beta - 1)
+        b = beta * a
+        domain_max = 1 / (beta - 1)
+        ctx = AlgebraicBeta(n=n, beta=beta, a=a, b=b, domain_max=domain_max)
+        _check_ctx(ctx)
     return ctx
 
 

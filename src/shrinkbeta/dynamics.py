@@ -94,14 +94,19 @@ class ReturnTimeResult:
     boundary_hit: bool  # some free step landed bitwise-exactly on a or b
 
 
+def _check_in_domain(x: float, ctx: AlgebraicBeta) -> None:
+    """Raise OrbitEscapeError for x outside the domain, NaN included."""
+    if not -_DRIFT_GUARD <= x <= ctx.domain_max + _DRIFT_GUARD:
+        raise OrbitEscapeError(x, 0.0, ctx.domain_max, "before step")
+
+
 def step(state: PointState, ctx: AlgebraicBeta):
     """One application of the map. Returns (new_state, digit).
 
     A start outside the domain, NaN included, raises OrbitEscapeError.
     """
     x = state.x
-    if not -_DRIFT_GUARD <= x <= ctx.domain_max + _DRIFT_GUARD:
-        raise OrbitEscapeError(x, 0.0, ctx.domain_max, "before step")
+    _check_in_domain(x, ctx)
     beta = ctx.beta
     if x < ctx.a:
         return PointState(state.omega, beta * x), 0
@@ -165,10 +170,12 @@ def orbit(state: PointState, steps: int, ctx: AlgebraicBeta):
     Row k holds the point after k steps, the digit emitted at step k,
     whether that step consumed a coin, and the coin cursor afterwards. The
     emitted digits d_1 d_2 ... expand the start: for every m,
-    |x_0 - sum d_k beta^(-k)| <= beta^(-m)/(beta-1).
+    |x_0 - sum d_k beta^(-k)| <= beta^(-m)/(beta-1). A start outside the
+    domain raises OrbitEscapeError, also when `steps` is 0.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
+    _check_in_domain(state.x, ctx)
     rows = []
     cur = state
     for k in range(1, steps + 1):

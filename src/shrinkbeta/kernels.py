@@ -1,24 +1,18 @@
-"""Backend dispatch for the bulk loops, plus shared seeded samplers.
+"""Input checks, error types and seeded samplers around the bulk loops.
 
-Prefers the compiled extension and falls back to the numpy implementation;
-`BACKEND` records which one loaded. The two are bit-for-bit interchangeable
-(tested), so everything downstream is backend-agnostic.
+The loops themselves live in `_kernels_py`, which raises bare
+RuntimeError with a "kind:payload" message; this module checks inputs at
+the API boundary and turns those messages into the package's typed
+errors. `BACKEND` names the kernel in bulk `simulate` output.
 """
 
 import numpy as np
 
+from . import _kernels_py
 from ._bits import _MASK, STREAM_CHAIN, STREAM_COIN, STREAM_START
 from .errors import InvariantViolationError, OrbitEscapeError
 
-try:
-    from . import _kernels as _impl
-    BACKEND = "compiled"
-except ImportError:
-    from . import _kernels_py as _impl
-    BACKEND = "python"
-
-from . import _kernels_py as _pure
-
+BACKEND = "python"
 _MAX_STATES = np.iinfo(np.int8).max
 
 
@@ -33,25 +27,23 @@ def _retype(exc: RuntimeError, ctx):
     return exc
 
 
-def induced_stats(ctx, x0, steps: int, seed: int, backend=None):
+def induced_stats(ctx, x0, steps: int, seed: int):
     """Bulk first-return statistics. Returns (hist, final_x, tau1_count);
     hist[t] counts returns at time t over all points and steps. Starts
-    must be finite."""
-    impls = {None: _impl, "python": _pure, "compiled": _impl}
-    if backend not in impls:
-        raise ValueError("backend must be None, 'python' or 'compiled', "
-                         f"got {backend!r}")
-    impl = impls[backend]
-    if backend == "compiled" and BACKEND != "compiled":
-        raise RuntimeError("compiled backend requested but not built")
+    must be finite and lie in the switch interval [a, b]."""
     x0 = np.ascontiguousarray(x0, dtype=np.float64)
     finite = np.isfinite(x0)
     if not finite.all():
         raise ValueError(
             f"starts must be finite, got {float(x0[~finite][0])!r}")
+    outside = (x0 < ctx.a) | (x0 > ctx.b)
+    if outside.any():
+        raise ValueError(f"starts must lie in [a, b] = [{ctx.a!r}, "
+                         f"{ctx.b!r}], got {float(x0[outside][0])!r}")
     try:
-        return impl.induced_stats(ctx.beta, ctx.a, ctx.b, ctx.domain_max,
-                                  ctx.n, x0, int(steps), int(seed) & _MASK)
+        return _kernels_py.induced_stats(ctx.beta, ctx.a, ctx.b,
+                                         ctx.domain_max, ctx.n, x0,
+                                         int(steps), int(seed) & _MASK)
     except RuntimeError as exc:
         raise _retype(exc, ctx) from None
 
@@ -74,13 +66,13 @@ def chain_sample(cum_rows, start_cum, steps: int, seed: int):
             and (np.diff(start_cum) >= 0).all()):
         raise ValueError("cum_rows and start_cum must be non-decreasing "
                          "cumulative laws")
-    return _impl.chain_sample(cum_rows, start_cum, int(steps),
-                              int(seed) & _MASK)
+    return _kernels_py.chain_sample(cum_rows, start_cum, int(steps),
+                                    int(seed) & _MASK)
 
 
 def uniform_array(seed: int, count: int, stream: int = STREAM_CHAIN):
     """count uniforms in [0, 1) from the counter-based stream."""
-    return _pure._uniforms(int(seed) & _MASK, stream, 0, count)
+    return _kernels_py._uniforms(int(seed) & _MASK, stream, 0, count)
 
 
 def uniform_starts(seed: int, count: int, lo: float, hi: float):
@@ -93,5 +85,5 @@ def uniform_starts(seed: int, count: int, lo: float, hi: float):
 def coin_bits(seed: int, count: int):
     """First `count` coin bits of the scalar stream, vectorized."""
     idx = np.arange(count, dtype=np.uint64)
-    z = _pure._raw(int(seed) & _MASK, STREAM_COIN, idx)
+    z = _kernels_py._raw(int(seed) & _MASK, STREAM_COIN, idx)
     return (z >> np.uint64(63)).astype(np.uint8)

@@ -108,6 +108,19 @@ def test_extended_precision_agrees_with_double(n):
     assert abs(float(lam) - solve_lambda(n).lam) < 1e-14
 
 
+@pytest.mark.parametrize("n", [40, 78])
+def test_extended_context_fields_carry_the_precision(n):
+    ctx = solve_beta(n, precision=150)
+    with mpmath.workprec(400):
+        beta = solve_beta(n, precision=400).beta
+        want = {"beta": beta, "a": 1 / (beta * beta - 1),
+                "b": beta / (beta * beta - 1), "domain_max": 1 / (beta - 1)}
+        for field, value in want.items():
+            got = getattr(ctx, field)
+            assert abs(got - value) <= abs(value) * mpmath.mpf(2) ** -150, \
+                field
+
+
 @pytest.mark.parametrize("bad", [2, 1, 0, -3])
 def test_small_n_rejected(bad):
     with pytest.raises(ValueError):

@@ -171,19 +171,23 @@ def test_orbit_csv_with_tally(capsys):
 
 
 def test_orbit_escape_is_runtime_error(capsys):
-    rc = main(["simulate", "--x0", "5.0", "--steps", "4"])
-    err = capsys.readouterr().err
-    assert rc == 1
-    assert err.startswith("error:")
+    # --steps 0 iterates nothing but still checks the start
+    for steps in ("4", "0"):
+        rc = main(["simulate", "--x0", "5.0", "--steps", steps])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: orbit escaped")
 
 
 @pytest.mark.parametrize("x0", ["nan", "inf"])
 def test_non_finite_start_is_runtime_error(x0, capsys):
-    rc = main(["simulate", "--n", "3", "--x0", x0, "--steps", "4"])
-    captured = capsys.readouterr()
-    assert rc == 1
-    assert captured.out == ""
-    assert captured.err.startswith("error: orbit escaped")
+    for steps in ("4", "0"):
+        rc = main(["simulate", "--n", "3", "--x0", x0, "--steps", steps])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: orbit escaped")
 
 
 def test_bulk_simulate_json(capsys):

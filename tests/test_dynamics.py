@@ -116,8 +116,9 @@ def test_nan_start_escapes_before_step():
     # NaN fails every comparison, so it must not pass for a switch point
     with pytest.raises(OrbitEscapeError, match="before step"):
         step(_state(float("nan"), [1]), CTX)
-    with pytest.raises(OrbitEscapeError, match="before step"):
-        orbit(PointState(CoinStream.seeded(1), float("nan")), 4, CTX)
+    for steps in (4, 0):
+        with pytest.raises(OrbitEscapeError, match="before step"):
+            orbit(PointState(CoinStream.seeded(1), float("nan")), steps, CTX)
 
 
 def test_explicit_stream_exhausts():

@@ -1,4 +1,5 @@
-"""Bulk kernels: backend parity, stream addressing and error retyping."""
+"""Bulk kernels: reference parity, stream addressing, input checks and
+error retyping."""
 
 import math
 import tracemalloc
@@ -17,13 +18,6 @@ from shrinkbeta.dynamics import CoinStream, PointState, return_time
 from shrinkbeta.errors import InvariantViolationError, OrbitEscapeError
 
 CTX = solve_beta(3)
-
-BOTH_BACKENDS = pytest.mark.parametrize(
-    "backend",
-    ["python",
-     pytest.param("compiled",
-                  marks=pytest.mark.skipif(kernels.BACKEND != "compiled",
-                                           reason="extension not built"))])
 
 
 def _splitmix64_reference(seed, count):
@@ -87,13 +81,11 @@ def test_uniform_starts_range():
     assert starts.min() >= ctx.a and starts.max() < ctx.b
 
 
-@BOTH_BACKENDS
-def test_bulk_matches_scalar_orbit(backend):
+def test_bulk_matches_scalar_orbit():
     seed = 555
     steps = 300
     x0 = np.array([1.45])
-    hist, xf, tau1 = kernels.induced_stats(CTX, x0, steps, seed,
-                                           backend=backend)
+    hist, xf, tau1 = kernels.induced_stats(CTX, x0, steps, seed)
     # scalar route: the same coin stream drives return_time step by step
     state = PointState(CoinStream.seeded(seed), 1.45)
     taus = []
@@ -107,61 +99,40 @@ def test_bulk_matches_scalar_orbit(backend):
     assert tau1 == sum(1 for t in taus if t == 1)
 
 
-def test_backends_bitwise_identical():
-    if kernels.BACKEND != "compiled":
-        pytest.skip("extension not built")
-    for n in (3, 4, 5):
-        ctx = solve_beta(n)
-        for seed in (1, 77, 20260814):
-            x0 = kernels.uniform_starts(seed, 128, ctx.a + 1e-9, ctx.b - 1e-9)
-            out_c = kernels.induced_stats(ctx, x0, 400, seed,
-                                          backend="compiled")
-            out_p = kernels.induced_stats(ctx, x0, 400, seed,
-                                          backend="python")
-            assert np.array_equal(out_c[0], out_p[0])
-            assert np.array_equal(out_c[1], out_p[1])  # exact float equality
-            assert out_c[2] == out_p[2]
-
-
-@BOTH_BACKENDS
-def test_bulk_histogram_support(backend):
+def test_bulk_histogram_support():
     ctx = solve_beta(4)
     x0 = kernels.uniform_starts(11, 256, ctx.a + 1e-9, ctx.b - 1e-9)
-    hist, xf, tau1 = kernels.induced_stats(ctx, x0, 200, 11, backend=backend)
+    hist, xf, tau1 = kernels.induced_stats(ctx, x0, 200, 11)
     assert tau1 == 0
     assert hist[0] == hist[1] == hist[ctx.n + 1] == 0
     assert hist.sum() == 256 * 200
     assert np.all(xf >= ctx.a) and np.all(xf <= ctx.b)
 
 
-@BOTH_BACKENDS
-def test_escape_retyped(backend):
-    x0 = np.array([CTX.domain_max + 2.0])
+def test_escape_retyped():
+    # a too-large expansion factor throws a start inside [a, b] past the
+    # domain in its first round
+    fake = SimpleNamespace(beta=3.0, a=CTX.a, b=CTX.b,
+                           domain_max=CTX.domain_max, n=CTX.n)
     with pytest.raises(OrbitEscapeError):
-        kernels.induced_stats(CTX, x0, 4, 1, backend=backend)
+        kernels.induced_stats(fake, np.array([1.5]), 4, 1)
 
 
-@BOTH_BACKENDS
-def test_drift_retyped(backend):
+def test_drift_retyped():
     # a too-small expansion factor cannot return within n steps
     fake = SimpleNamespace(beta=1.1, a=CTX.a, b=CTX.b,
                            domain_max=CTX.domain_max, n=CTX.n)
     with pytest.raises(InvariantViolationError):
-        kernels.induced_stats(fake, np.array([1.5]), 4, 1, backend=backend)
+        kernels.induced_stats(fake, np.array([1.5]), 4, 1)
 
 
-def test_compiled_request_without_build():
-    if kernels.BACKEND == "compiled":
-        pytest.skip("extension is built here")
-    with pytest.raises(RuntimeError):
-        kernels.induced_stats(CTX, np.array([1.5]), 1, 1, backend="compiled")
-
-
-@pytest.mark.parametrize("backend", ["numpy", "", "Python"])
-def test_unknown_backend_rejected(backend):
-    with pytest.raises(ValueError,
-                       match="None, 'python' or 'compiled', got "):
-        kernels.induced_stats(CTX, np.array([1.5]), 1, 1, backend=backend)
+@pytest.mark.parametrize("bad", [0.0, 0.5, 1.9, CTX.domain_max + 2.0],
+                         ids=["0.0", "0.5", "1.9", "domain_max+2"])
+def test_starts_outside_switch_interval_rejected(bad):
+    # the first coin step is the map only on [a, b]; outside it the
+    # kernel would report an escape or a drift
+    with pytest.raises(ValueError, match=r"\[a, b\]"):
+        kernels.induced_stats(CTX, np.array([1.45, bad]), 3, 1)
 
 
 @pytest.mark.parametrize("steps", [0, -1])
@@ -183,13 +154,11 @@ def test_chain_sample_inverse_transform():
     assert abs(freq01 - 0.5) < 4 * math.sqrt(0.25 / from_zero.size)
 
 
-@BOTH_BACKENDS
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_non_finite_starts_rejected(backend, bad):
+def test_non_finite_starts_rejected(bad):
     # a NaN start would count as a return at time 1 and come back as NaN
     with pytest.raises(ValueError, match="finite"):
-        kernels.induced_stats(CTX, np.array([bad, 1.45]), 3, 1,
-                              backend=backend)
+        kernels.induced_stats(CTX, np.array([bad, 1.45]), 3, 1)
 
 
 @pytest.mark.parametrize("cum_rows, start_cum", [
