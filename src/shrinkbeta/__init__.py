@@ -18,10 +18,9 @@ from .errors import (DeletedPointError, InequalityViolationError,
                      StreamExhaustedError)
 from .gls import (GlsPartition, ReturnTimeVector, greedy_breakpoints,
                   lazy_breakpoints, return_time_law, return_time_vector)
-from .kernels import BACKEND
 from .markov import (MarkovChain, build_adjacency, build_chain,
                      build_partition, check_inequality, eigen_closed_form,
-                     induced_parry_entropy, parry_measure, sample_chain)
+                     parry_center, parry_measure, sample_chain)
 from .measures import (CylinderSpec, InducedMeasureSpec, abramov_check,
                        cylinder_preimage_interval, empirical_entropy,
                        entropy_rate_estimate, integral_tau, kac_lift,
@@ -39,9 +38,9 @@ __all__ = [
     "PrecisionLimitError",
     "GlsPartition", "ReturnTimeVector",
     "greedy_breakpoints", "lazy_breakpoints", "return_time_law",
-    "return_time_vector", "BACKEND", "MarkovChain", "build_adjacency",
-    "build_chain", "build_partition", "check_inequality", "eigen_closed_form",
-    "induced_parry_entropy", "parry_measure", "sample_chain", "CylinderSpec",
+    "return_time_vector", "MarkovChain", "build_adjacency", "build_chain",
+    "build_partition", "check_inequality", "eigen_closed_form",
+    "parry_center", "parry_measure", "sample_chain", "CylinderSpec",
     "InducedMeasureSpec", "abramov_check", "cylinder_preimage_interval",
     "empirical_entropy", "entropy_rate_estimate", "integral_tau", "kac_lift",
     "pushforward_check", "SymbolicWord", "alphabet", "boundary_expansions",

@@ -87,6 +87,14 @@ _BETA_DOUBLE_N_MAX = 77
 _LAMBDA_DOUBLE_N_MAX = 53
 
 
+def arithmetic(precision: int | None):
+    """The arithmetic a precision selects: doubles for None (a no-op
+    context), else mpmath at that significand width in bits."""
+    if precision is None:
+        return contextlib.nullcontext()
+    return mpmath.workprec(precision)
+
+
 def _check_args(n, precision, name: str, double_n_max: int) -> None:
     # runs before the root cache: 3.0 and np.int64(3) hash like 3
     if not isinstance(n, int) or n < 3:
@@ -164,8 +172,7 @@ def solve_beta(n: int, precision: int | None = None) -> AlgebraicBeta:
     """
     _check_args(n, precision, "beta_n", _BETA_DOUBLE_N_MAX)
     beta = _solve_poly(n, 1, precision)
-    with (contextlib.nullcontext() if precision is None
-          else mpmath.workprec(precision + 20)):
+    with arithmetic(None if precision is None else precision + 20):
         a = 1 / (beta * beta - 1)
         b = beta * a
         domain_max = 1 / (beta - 1)

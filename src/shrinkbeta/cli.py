@@ -2,7 +2,9 @@
 
 Subcommands: constants, simulate, markov, parry, verify, entropy. Every
 artifact is plain CSV or JSON with floats at 12 significant digits, and a
-fixed config maps to byte-identical output. Exit codes: 0 success, 1
+fixed config maps to byte-identical output. Each command builds its report
+from raw values and renders it through `_dump_json` or `_csv` only, so that
+print format is decided in one place. Exit codes: 0 success, 1
 verification/runtime failure, 2 usage error.
 
 `main(argv)` can be called repeatedly in one process: it builds its parser
@@ -23,10 +25,10 @@ import sys
 import numpy as np
 
 from . import kernels, markov, measures, verify
-from .algebra import MIN_PRECISION, solve_beta, solve_lambda
-from .dynamics import (CoinStream, PointState, orbit, orbit_to_csv,
-                       return_time, step)
-from .errors import PrecisionLimitError, ShrinkBetaError
+from .algebra import MIN_PRECISION, arithmetic, solve_beta
+from .dynamics import CoinStream, OrbitRow, PointState, orbit
+from .errors import (InvariantViolationError, PrecisionLimitError,
+                     ShrinkBetaError)
 from .gls import return_time_law
 from .symbolic import mme_entropy
 
@@ -43,10 +45,17 @@ def _fmt(x) -> str:
     return f"{float(x):.12g}"
 
 
-def _jnum(x) -> float:
-    """Round-trip a float through the 12-significant-digit print format so
-    JSON and CSV artifacts carry identical values."""
-    return float(_fmt(x))
+def _jnum(x):
+    """Round-trip every float in x, through lists, tuples and dicts, via
+    the 12-significant-digit print format, so JSON and CSV artifacts carry
+    identical values."""
+    if isinstance(x, float):
+        return float(_fmt(x))
+    if isinstance(x, (list, tuple)):
+        return [_jnum(v) for v in x]
+    if isinstance(x, dict):
+        return {k: _jnum(v) for k, v in x.items()}
+    return x
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -58,7 +67,18 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _dump_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return json.dumps(_jnum(obj), indent=2, sort_keys=True) + "\n"
+
+
+def _csv(header, rows) -> str:
+    """CSV text: floats at 12 significant digits, other values as str,
+    fields quoted only where the csv module needs it."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_fmt(v) if isinstance(v, float) else str(v)
+                      for v in row] for row in rows)
+    return buf.getvalue()
 
 
 def _scale(value: float, log_base: str) -> float:
@@ -68,75 +88,54 @@ def _scale(value: float, log_base: str) -> float:
 def cmd_constants(args) -> int:
     bits = args.precision
     ctx = solve_beta(args.n, bits)
-    lam = solve_lambda(args.n, bits).lam
-    if bits is None:
-        inv_cd = markov._inv_cd_direct(lam, args.n)
-        mu_center = lam ** args.n / inv_cd
-    else:
-        import mpmath
-        with mpmath.workprec(bits):
-            inv_cd = markov._inv_cd_direct(lam, args.n)
-            mu_center = lam ** args.n / inv_cd
-    h_k = math.log(float(lam))
-    h_ind = float(markov.induced_parry_entropy(args.n, bits))
-    h_max = mme_entropy(args.n)
-    law = return_time_law(ctx)
+    center = markov.parry_center(args.n, bits)
+    with arithmetic(bits):
+        law = return_time_law(ctx)
+        expected_tau = sum(t * w for t, w in law.items())
+    lam = float(center.lam)
     report = {
         "n": args.n,
         "beta": float(ctx.beta),
         "a": float(ctx.a),
         "b": float(ctx.b),
         "domain_max": float(ctx.domain_max),
-        "lambda": float(lam),
-        "cd": float(1 / inv_cd),
-        "h_K": _scale(h_k, args.log_base),
-        "h_I_max": _scale(h_max, args.log_base),
-        "h_I_induced": _scale(h_ind, args.log_base),
-        "margin": _scale(h_max - h_ind, args.log_base),
-        "root_gap": float(lam) - float(ctx.beta),
-        "mu_center": float(mu_center),
-        "expected_tau": float(sum(t * w for t, w in law.items())),
+        "lambda": lam,
+        "cd": float(1 / center.inv_cd),
+        "h_K": _scale(math.log(lam), args.log_base),
+        "h_I_max": _scale(mme_entropy(args.n), args.log_base),
+        "h_I_induced": _scale(float(center.h_induced), args.log_base),
+        "margin": _scale(float(center.margin), args.log_base),
+        "root_gap": lam - float(ctx.beta),
+        "mu_center": float(center.mu_center),
+        "expected_tau": float(expected_tau),
     }
     if args.format == "json":
-        _emit(_dump_json({k: _jnum(v) if isinstance(v, float) else v
-                          for k, v in report.items()}), args.out)
+        _emit(_dump_json(report), args.out)
     else:
-        lines = ["quantity,value"]
-        for k, v in report.items():
-            lines.append(f"{k},{_fmt(v) if isinstance(v, float) else v}")
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit(_csv(["quantity", "value"], report.items()), args.out)
     return 0
 
 
 def _orbit_simulate(args, ctx) -> str:
     state = PointState(CoinStream.seeded(args.seed), args.x0)
     rows = orbit(state, args.steps, ctx)
-    text = orbit_to_csv(rows)
+    text = _csv(OrbitRow._fields, rows)
     if args.steps == 0:
         return text
-    # return-time tally along the same trajectory
-    taus = []
-    cur = PointState(CoinStream.seeded(args.seed), args.x0)
-    used = 0
-    while used < args.steps:
-        if not (ctx.a <= cur.x <= ctx.b):
-            cur, _ = step(cur, ctx)
-            used += 1
-            continue
-        res = return_time(cur, ctx)
-        if used + res.t > args.steps:
-            break
-        taus.append(res.t)
-        used += res.t
-        cur = res.state
+    # return-time tally: gaps between the steps k = 0..steps whose point
+    # x_k lies in [a, b]
+    xs = [args.x0] + [r.x for r in rows]
+    visits = [k for k, x in enumerate(xs) if ctx.a <= x <= ctx.b]
+    taus = [k1 - k0 for k0, k1 in zip(visits, visits[1:])]
+    if taus and max(taus) > ctx.n + 1:
+        raise InvariantViolationError(
+            f"return time exceeded n+1 = {ctx.n + 1} in the orbit of "
+            f"x={args.x0!r}")
     law = return_time_law(ctx)
-    lines = ["", "tau,count,freq,expected"]
-    total = len(taus)
-    for t in range(2, ctx.n + 1):
-        count = taus.count(t)
-        freq = count / total if total else 0.0
-        lines.append(f"{t},{count},{_fmt(freq)},{_fmt(law[t])}")
-    return text + "\n".join(lines) + "\n"
+    total = max(len(taus), 1)
+    tally = [(t, taus.count(t), taus.count(t) / total, law[t])
+             for t in range(2, ctx.n + 1)]
+    return text + "\n" + _csv(["tau", "count", "freq", "expected"], tally)
 
 
 def _bulk_simulate(args, ctx) -> str:
@@ -147,29 +146,23 @@ def _bulk_simulate(args, ctx) -> str:
     hist, _, tau1 = kernels.induced_stats(ctx, x0, steps, args.seed)
     law = return_time_law(ctx)
     rows = []
-    max_z = 0.0
     for t in range(2, ctx.n + 1):
         count = int(hist[t])
         freq = count / total
         expected = law[t]
         sigma = math.sqrt(expected * (1 - expected) / total)
-        z = (freq - expected) / sigma
-        max_z = max(max_z, abs(z))
-        rows.append({"tau": t, "count": count, "freq": _jnum(freq),
-                     "expected": _jnum(expected), "z": _jnum(z)})
+        rows.append((t, count, freq, expected, (freq - expected) / sigma))
+    header = ("tau", "count", "freq", "expected", "z")
     if args.format == "json":
         report = {
             "n": ctx.n, "seed": args.seed, "points": points, "steps": steps,
             "samples": total, "backend": kernels.BACKEND,
             "tau1_count": tau1, "out_of_range_count": int(hist[0] + hist[1] + hist[ctx.n + 1]),
-            "max_abs_z": _jnum(max_z), "histogram": rows,
+            "max_abs_z": max(abs(r[-1]) for r in rows),
+            "histogram": [dict(zip(header, r)) for r in rows],
         }
         return _dump_json(report)
-    lines = ["tau,count,freq,expected,z"]
-    for r in rows:
-        lines.append(f"{r['tau']},{r['count']},{_fmt(r['freq'])},"
-                     f"{_fmt(r['expected'])},{_fmt(r['z'])}")
-    return "\n".join(lines) + "\n"
+    return _csv(header, rows)
 
 
 def cmd_simulate(args) -> int:
@@ -189,21 +182,12 @@ def cmd_markov(args) -> int:
     for key in ("h_K", "h_I_induced", "h_I_max", "margin"):
         report[key] = _scale(report[key], args.log_base)
     if args.format == "json":
-        def walk(x):
-            if isinstance(x, float):
-                return _jnum(x)
-            if isinstance(x, list):
-                return [walk(v) for v in x]
-            if isinstance(x, dict):
-                return {k: walk(v) for k, v in x.items()}
-            return x
-        _emit(_dump_json(walk(report)), args.out)
+        _emit(_dump_json(report), args.out)
     else:
-        lines = ["label,lo,hi,p"]
-        for cell, p in zip(report["cells"], report["p"]):
-            lines.append(f"{cell['label']},{_fmt(cell['lo'])},"
-                         f"{_fmt(cell['hi'])},{_fmt(p)}")
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit(_csv(["label", "lo", "hi", "p"],
+                   [(cell["label"], cell["lo"], cell["hi"], p)
+                    for cell, p in zip(report["cells"], report["p"])]),
+              args.out)
     return 0
 
 
@@ -222,26 +206,25 @@ def cmd_parry(args) -> int:
     h = markov.entropy_rate(chain.p, chain.P_trans)
     report = {
         "n": args.n,
-        "lambda": _jnum(chain.lam),
-        "p": [_jnum(v) for v in chain.p],
-        "P_trans": [[_jnum(v) for v in row] for row in chain.P_trans],
-        "entropy_rate": _jnum(_scale(h, args.log_base)),
-        "log_lambda": _jnum(_scale(math.log(chain.lam), args.log_base)),
+        "lambda": chain.lam,
+        "p": chain.p.tolist(),
+        "P_trans": chain.P_trans.tolist(),
+        "entropy_rate": _scale(h, args.log_base),
+        "log_lambda": _scale(math.log(chain.lam), args.log_base),
     }
     if args.samples > 0:
         path = markov.sample_chain(chain, args.samples, args.seed)
         est = measures.entropy_rate_estimate(np.asarray(path), 2,
                                              alphabet_size=len(chain.p))
-        report["empirical_rate"] = _jnum(_scale(est, args.log_base))
-        report["empirical_deviation"] = _jnum(abs(_scale(est - h, args.log_base)))
+        report["empirical_rate"] = _scale(est, args.log_base)
+        report["empirical_deviation"] = abs(_scale(est - h, args.log_base))
     if args.format == "json":
         _emit(_dump_json(report), args.out)
     else:
-        lines = ["state,label,p"]
-        for i, (cell, p) in enumerate(zip(chain.cells, chain.p)):
-            lines.append(f"{i},{cell.label},{_fmt(p)}")
-        lines.append(f"entropy_rate,,{_fmt(report['entropy_rate'])}")
-        _emit("\n".join(lines) + "\n", args.out)
+        rows = [(i, cell.label, p)
+                for i, (cell, p) in enumerate(zip(chain.cells, chain.p))]
+        rows.append(("entropy_rate", "", report["entropy_rate"]))
+        _emit(_csv(["state", "label", "p"], rows), args.out)
     return 0
 
 
@@ -264,23 +247,15 @@ def cmd_verify(args) -> int:
             "pass": ok,
             "checks": len(rows),
             "failures": sum(1 for r in rows if not r.passed),
-            "rows": [
-                {k: (_jnum(v) if isinstance(v, float) else v)
-                 for k, v in r.as_json().items()}
-                for r in rows
-            ],
+            "rows": [r.as_json() for r in rows],
         }
         _emit(_dump_json(report), args.out)
     else:
-        # params strings may contain commas, so quote per the csv module
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["check", "n", "params", "lhs", "rhs", "deviation",
-                         "pass"])
-        for r in rows:
-            writer.writerow([r.check, r.n, r.params, _fmt(r.lhs),
-                             _fmt(r.rhs), _fmt(r.deviation), int(r.passed)])
-        _emit(buf.getvalue(), args.out)
+        # params strings may contain commas; _csv quotes them
+        _emit(_csv(["check", "n", "params", "lhs", "rhs", "deviation",
+                    "pass"],
+                   [(r.check, r.n, r.params, r.lhs, r.rhs, r.deviation,
+                     int(r.passed)) for r in rows]), args.out)
     return 0 if ok else 1
 
 
@@ -288,26 +263,22 @@ def cmd_entropy(args) -> int:
     lo, hi = args.n_range or (3, args.n or 30)
     if lo <= _SAMPLED_N_MAX:
         _check_chain_samples(args.samples, min(hi, _SAMPLED_N_MAX))
-    if args.precision is None:
-        rows = markov.check_inequality(hi)
-    else:
-        rows = markov.check_inequality(hi, extended_threshold=0,
-                                       bits=args.precision)
-    rows = [r for r in rows if r.n >= lo]
+    rows = [r for r in markov.check_inequality(hi, args.precision)
+            if r.n >= lo]
     out_rows = []
     for r in rows:
         entry = {
-            "n": r.n, "lambda": _jnum(r.lam),
-            "h_max": _jnum(_scale(r.h_max, args.log_base)),
-            "h_induced": _jnum(_scale(r.h_induced, args.log_base)),
-            "margin": _jnum(_scale(r.margin, args.log_base)),
+            "n": r.n, "lambda": r.lam,
+            "h_max": _scale(r.h_max, args.log_base),
+            "h_induced": _scale(r.h_induced, args.log_base),
+            "margin": _scale(r.margin, args.log_base),
         }
         if args.samples > 0 and r.n <= _SAMPLED_N_MAX:
             chain = markov.build_chain(r.n)
             path = markov.sample_chain(chain, args.samples, args.seed)
             est = measures.entropy_rate_estimate(np.asarray(path), 2,
                                                  alphabet_size=len(chain.p))
-            entry["empirical_rate"] = _jnum(_scale(est, args.log_base))
+            entry["empirical_rate"] = _scale(est, args.log_base)
         out_rows.append(entry)
     if args.format == "json":
         _emit(_dump_json({"rows": out_rows}), args.out)
@@ -315,18 +286,8 @@ def cmd_entropy(args) -> int:
         cols = ["n", "lambda", "h_max", "h_induced", "margin"]
         if any("empirical_rate" in e for e in out_rows):
             cols.append("empirical_rate")
-        lines = [",".join(cols)]
-        for entry in out_rows:
-            cells = []
-            for c in cols:
-                if c not in entry:
-                    cells.append("")
-                elif c == "n":
-                    cells.append(str(entry[c]))
-                else:
-                    cells.append(_fmt(entry[c]))
-            lines.append(",".join(cells))
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit(_csv(cols, [[e.get(c, "") for c in cols] for e in out_rows]),
+              args.out)
     return 0
 
 

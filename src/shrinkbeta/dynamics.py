@@ -186,9 +186,3 @@ def orbit(state: PointState, steps: int, ctx: AlgebraicBeta):
                              coin_cursor=cur.omega.cursor))
     return rows
 
-
-def orbit_to_csv(rows) -> str:
-    lines = ["step,x,digit,in_switch,coin_cursor"]
-    for r in rows:
-        lines.append(f"{r.step},{r.x:.12g},{r.digit},{r.in_switch},{r.coin_cursor}")
-    return "\n".join(lines) + "\n"

@@ -15,6 +15,9 @@ with s_k = 1 + lam + ... + lam^k, normalized by u.v = 1. The stationary
 chain p_i = u_i v_i with transitions p_ij = S_ij v_j / (lam v_i) maximizes
 entropy over the subshift, with entropy log lam; inducing on the switch
 cell divides the entropy by its weight p_center = cd*lam^n.
+
+`parry_center` computes the switch cell's numbers in one arithmetic;
+`check_inequality` alone picks the default arithmetic for each n.
 """
 
 from __future__ import annotations
@@ -26,14 +29,16 @@ from typing import NamedTuple
 import mpmath
 import numpy as np
 
-from .algebra import AlgebraicBeta, PerronValue, solve_beta, solve_lambda
+from .algebra import (AlgebraicBeta, PerronValue, arithmetic, solve_beta,
+                      solve_lambda)
 from .errors import InequalityViolationError, InvariantViolationError
 
 _EIGEN_TOL = 1e-10
 _ROW_TOL = 1e-10
 _PARTITION_TOL = 1e-10
-# doubles carry the closed forms comfortably this far; beyond, beta and
-# lambda crowd their limits and the extended mode takes over
+# check_inequality's default: doubles carry the closed forms comfortably
+# this far; beyond, beta and lambda crowd their limits and mpmath at
+# EXTENDED_BITS takes over
 EXTENDED_THRESHOLD = 30
 EXTENDED_BITS = 150
 
@@ -184,8 +189,8 @@ def closed_form_inv_cd(lam, n: int):
 def _inv_cd_direct(lam, n: int):
     """1/(cd) as the direct inner product of the unit-scale eigenvectors.
 
-    Works for floats and mpmath values alike; used by the extended-precision
-    entropy path as well as the double-precision builder.
+    Works for floats and mpmath values alike; `parry_center` runs it in
+    either arithmetic.
     """
     total = lam ** n  # center: u_c * v_c = lam * lam^(n-1)
     for s, power in _wing_sums(lam, n):
@@ -304,15 +309,30 @@ def cylinder_measure(chain: MarkovChain, word) -> float:
     return value
 
 
-def induced_parry_entropy(n: int, precision: int | None = None):
-    """Entropy of the chain's maximal measure induced on the switch cell:
-    log(lam) / (cd * lam^n) = log(lam) * (1/cd) / lam^n."""
-    if precision is None:
-        lam = solve_lambda(n).lam
-        return math.log(lam) * _inv_cd_direct(lam, n) / lam ** n
+class ParryCenter(NamedTuple):
+    """The switch cell's numbers under the chain's maximal measure."""
+
+    lam: float
+    inv_cd: float
+    mu_center: float
+    h_induced: float
+    margin: float
+
+
+def parry_center(n: int, precision: int | None = None) -> ParryCenter:
+    """lambda_n, 1/(cd), the centre weight mu_center = cd lam^n, the
+    induced entropy h_induced = log(lam) / (cd lam^n) and the entropy
+    margin log(2n-2) - h_induced, all in one arithmetic: doubles for
+    precision=None, else mpmath at that many bits (`algebra.arithmetic`).
+    """
     lam = solve_lambda(n, precision).lam
-    with mpmath.workprec(precision):
-        return mpmath.log(lam) * _inv_cd_direct(lam, n) / lam ** n
+    log = math.log if precision is None else mpmath.log
+    with arithmetic(precision):
+        inv_cd = _inv_cd_direct(lam, n)
+        h_induced = log(lam) * inv_cd / lam ** n
+        return ParryCenter(lam=lam, inv_cd=inv_cd,
+                           mu_center=lam ** n / inv_cd, h_induced=h_induced,
+                           margin=log(2 * n - 2) - h_induced)
 
 
 class InequalityRow(NamedTuple):
@@ -323,34 +343,31 @@ class InequalityRow(NamedTuple):
     margin: float
 
 
-def check_inequality(n_max: int, extended_threshold: int = EXTENDED_THRESHOLD,
-                     bits: int = EXTENDED_BITS):
+def check_inequality(n_max: int, precision: int | None = None):
     """Full-shift entropy minus induced chain entropy, for n = 3..n_max.
 
     The margin log(2n-2) - log(lam)/(cd lam^n) must stay strictly positive:
     a non-positive value means an implementation bug, not a borderline
-    rounding case, so it raises. n above the threshold runs in extended
-    precision with the given significand width.
+    rounding case, so it raises. precision=None runs n up to
+    EXTENDED_THRESHOLD in doubles and larger n at EXTENDED_BITS; an integer
+    runs every n at that many bits.
     """
     if n_max < 3:
         raise ValueError("n_max must be >= 3")
     rows = []
     for n in range(3, n_max + 1):
-        precision = None if n <= extended_threshold else bits
-        lam = solve_lambda(n, precision).lam
-        h_ind = induced_parry_entropy(n, precision)
-        h_max = math.log(2 * n - 2)
-        if precision is None:
-            margin = h_max - h_ind
-        else:
-            with mpmath.workprec(bits):
-                margin = mpmath.log(2 * n - 2) - h_ind
-        lam, h_ind, margin = float(lam), float(h_ind), float(margin)
+        bits = precision
+        if bits is None and n > EXTENDED_THRESHOLD:
+            bits = EXTENDED_BITS
+        center = parry_center(n, bits)
+        margin = float(center.margin)
         if margin <= 0:
             raise InequalityViolationError(
                 f"entropy margin non-positive at n={n}: {margin!r}")
-        rows.append(InequalityRow(n=n, lam=lam, h_max=h_max,
-                                  h_induced=h_ind, margin=margin))
+        rows.append(InequalityRow(n=n, lam=float(center.lam),
+                                  h_max=math.log(2 * n - 2),
+                                  h_induced=float(center.h_induced),
+                                  margin=margin))
     return rows
 
 
@@ -374,8 +391,7 @@ def perron_by_power_iteration(adjacency, max_iter: int = 20000,
 def chain_to_json(n: int) -> dict:
     """Full report: cells, adjacency, eigendata, chain, entropies."""
     chain = build_chain(n)
-    h_ind = induced_parry_entropy(n)
-    h_max = math.log(2 * n - 2)
+    center = parry_center(n)
     return {
         "n": n,
         "lambda": chain.lam,
@@ -387,9 +403,9 @@ def chain_to_json(n: int) -> dict:
         "p": chain.p.tolist(),
         "P_trans": chain.P_trans.tolist(),
         "h_K": math.log(chain.lam),
-        "h_I_induced": h_ind,
-        "h_I_max": h_max,
-        "margin": h_max - h_ind,
+        "h_I_induced": center.h_induced,
+        "h_I_max": math.log(2 * n - 2),
+        "margin": center.margin,
     }
 
 

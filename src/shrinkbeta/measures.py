@@ -29,10 +29,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import AlgebraicBeta, solve_lambda
+from .algebra import AlgebraicBeta
 from .errors import InvariantViolationError
 from .gls import greedy_breakpoints, lazy_breakpoints, return_time_law
-from .markov import _inv_cd_direct, induced_parry_entropy
+from .markov import parry_center
 
 _REFINE_TOL = 1e-14
 _MAX_DEPTH = 200
@@ -460,12 +460,10 @@ def abramov_check(n: int, kind: str = "parry") -> AbramovResult:
     and the interesting fact is h_K staying below log(lam).
     """
     if kind == "parry":
-        lam = solve_lambda(n).lam
-        h_i = induced_parry_entropy(n)
-        mu_center = lam ** n / _inv_cd_direct(lam, n)
-        h_k = math.log(lam)
-        return AbramovResult(h_K=h_k, h_I=h_i, mu_center=mu_center,
-                             deviation=abs(h_k - h_i * mu_center))
+        center = parry_center(n)
+        h_k, h_i = math.log(center.lam), center.h_induced
+        return AbramovResult(h_K=h_k, h_I=h_i, mu_center=center.mu_center,
+                             deviation=abs(h_k - h_i * center.mu_center))
     if kind == "uniform":
         h_i = math.log(2 * n - 2)
         mu_center = 2.0 / (n + 2)

@@ -8,7 +8,6 @@ sampled inputs come from fixed seeded streams.
 
 from __future__ import annotations
 
-import inspect
 import math
 from dataclasses import asdict, dataclass
 from itertools import product
@@ -370,15 +369,10 @@ SUITES = {
 
 
 def run(suite: str = "all", **kwargs):
-    """Run one suite or all of them; returns the combined row list."""
+    """Run one suite or all of them, each with the same keyword arguments;
+    returns the combined row list."""
     if suite == "all":
-        rows = []
-        for name in ("gls", "symbolic", "markov", "measures"):
-            fn = SUITES[name]
-            accepted = inspect.signature(fn).parameters
-            rows.extend(fn(**{k: v for k, v in kwargs.items()
-                              if k in accepted}))
-        return rows
+        return [row for fn in SUITES.values() for row in fn(**kwargs)]
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; "
                          f"choose from {sorted(SUITES)} or 'all'")

@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -11,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from shrinkbeta import kernels
+from shrinkbeta import cli, kernels
+from shrinkbeta.algebra import solve_beta
 from shrinkbeta.cli import build_parser, main
 
 LOG4 = math.log(4.0)
@@ -168,6 +170,19 @@ def test_orbit_csv_with_tally(capsys):
     assert [r.split(",")[0] for r in tally_rows[1:]] == ["2", "3"]
     counts = [int(r.split(",")[1]) for r in tally_rows[1:]]
     assert sum(c * t for c, t in zip(counts, (2, 3))) <= 24
+
+
+def test_orbit_tally_drift_guard(monkeypatch, capsys):
+    # under a slope of 1.2 the orbit of 1.4 stays out of [a, b] for more
+    # than n + 1 = 4 steps after some switch visit: the tally refuses the
+    # gap as return_time refuses such a return
+    fake = dataclasses.replace(solve_beta(3), beta=1.2)
+    monkeypatch.setattr(cli, "solve_beta", lambda n: fake)
+    rc = main(["simulate", "--x0", "1.4", "--steps", "40"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: return time exceeded n+1 = 4")
 
 
 def test_orbit_escape_is_runtime_error(capsys):
@@ -333,6 +348,23 @@ def test_verify_stdout_matches_recorded_digest(argv, capsys):
     rc, out = _run(capsys, argv)
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == want
+
+
+ARTIFACT_DIGESTS = Path(__file__).with_name("artifact_digests.json")
+
+
+def test_artifacts_match_recorded_bytes(capsys):
+    # exit code and stdout sha256 of every subcommand in both formats,
+    # `--log-base 2`, `constants --precision`, extended `entropy` rows,
+    # orbit tallies and a failing verify; recorded before the switch-cell
+    # numbers and the CSV/JSON writers moved into one place each
+    recorded = json.loads(ARTIFACT_DIGESTS.read_text())
+    changed = []
+    for command, (want_rc, want) in recorded.items():
+        rc, out = _run(capsys, shlex.split(command))
+        if (rc, hashlib.sha256(out.encode()).hexdigest()) != (want_rc, want):
+            changed.append(command)
+    assert changed == []
 
 
 def test_main_reuses_one_parser(monkeypatch, capsys):

@@ -4,7 +4,7 @@ import pytest
 
 from shrinkbeta.algebra import solve_beta
 from shrinkbeta.dynamics import (CoinStream, PointState, induced_step, orbit,
-                                 orbit_to_csv, return_time, step)
+                                 return_time, step)
 from shrinkbeta.errors import (DeletedPointError, OrbitEscapeError,
                                StreamExhaustedError)
 
@@ -97,14 +97,6 @@ def test_orbit_rows_and_digit_expansion():
     # coins advance exactly on switch visits
     visits = sum(r.in_switch for r in rows)
     assert rows[-1].coin_cursor == visits
-
-
-def test_orbit_csv_shape():
-    rows = orbit(PointState(CoinStream.seeded(1), 1.5), 3, CTX)
-    text = orbit_to_csv(rows)
-    lines = text.strip().split("\n")
-    assert lines[0] == "step,x,digit,in_switch,coin_cursor"
-    assert len(lines) == 4
 
 
 def test_escape_guard():

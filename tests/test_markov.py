@@ -8,14 +8,15 @@ import pytest
 
 from shrinkbeta import markov
 from shrinkbeta.algebra import solve_beta, solve_lambda
-from shrinkbeta.errors import InvariantViolationError
+from shrinkbeta.errors import (InequalityViolationError,
+                               InvariantViolationError)
 from shrinkbeta.markov import (adjacency_from_images, build_adjacency,
                                build_chain, build_partition,
                                char_poly_closed_form, char_poly_residual,
                                chain_to_json, check_inequality,
                                closed_form_inv_cd, cylinder_measure,
                                eigen_closed_form, eigen_residuals,
-                               entropy_rate, induced_parry_entropy,
+                               entropy_rate, parry_center,
                                parry_measure, perron_by_power_iteration,
                                sample_chain, _inv_cd_direct)
 
@@ -117,7 +118,7 @@ def test_entropy_rate_is_log_lambda(n):
 
 
 def test_induced_entropy_and_margin_frozen():
-    assert induced_parry_entropy(3) == pytest.approx(H_IND3, abs=1e-14)
+    assert parry_center(3).h_induced == pytest.approx(H_IND3, abs=1e-14)
     rows = check_inequality(10)
     assert [r.n for r in rows] == list(range(3, 11))
     assert rows[0].margin == pytest.approx(MARGIN3, abs=1e-14)
@@ -127,7 +128,7 @@ def test_induced_entropy_and_margin_frozen():
 
 def test_extended_precision_margin_continuity():
     # force the mpmath path at small n and compare with the double path
-    ext = check_inequality(6, extended_threshold=0, bits=150)
+    ext = check_inequality(6, 150)
     dbl = check_inequality(6)
     for r_ext, r_dbl in zip(ext, dbl):
         assert r_ext.margin == pytest.approx(r_dbl.margin, rel=1e-12)
@@ -241,3 +242,82 @@ def test_eigen_closed_form_stays_in_mpf():
         assert all(isinstance(x, mpmath.mpf) for x in u)
         assert isinstance(cd, mpmath.mpf)
         assert abs(mpmath.fsum(u * v) - 1) <= mpmath.mpf(2) ** -140
+
+
+def reference_induced_parry_entropy(n, precision=None):
+    """The former `markov.induced_parry_entropy`, which chose its own
+    arithmetic: log(lam) * (1/cd) / lam^n."""
+    if precision is None:
+        lam = solve_lambda(n).lam
+        return math.log(lam) * _inv_cd_direct(lam, n) / lam ** n
+    lam = solve_lambda(n, precision).lam
+    with mpmath.workprec(precision):
+        return mpmath.log(lam) * _inv_cd_direct(lam, n) / lam ** n
+
+
+def reference_check_inequality(n_max, extended_threshold=30, bits=150):
+    """The former `markov.check_inequality`, with its per-row precision
+    switch and margin branch."""
+    rows = []
+    for n in range(3, n_max + 1):
+        precision = None if n <= extended_threshold else bits
+        lam = solve_lambda(n, precision).lam
+        h_ind = reference_induced_parry_entropy(n, precision)
+        h_max = math.log(2 * n - 2)
+        if precision is None:
+            margin = h_max - h_ind
+        else:
+            with mpmath.workprec(bits):
+                margin = mpmath.log(2 * n - 2) - h_ind
+        lam, h_ind, margin = float(lam), float(h_ind), float(margin)
+        if margin <= 0:
+            raise InequalityViolationError(
+                f"entropy margin non-positive at n={n}: {margin!r}")
+        rows.append((n, lam, h_max, h_ind, margin))
+    return rows
+
+
+def reference_center(n, precision=None):
+    """The switch-cell numbers as the former callers computed them:
+    `cmd_constants` (1/(cd), mu_center), `induced_parry_entropy` and
+    `check_inequality`'s margin."""
+    lam = solve_lambda(n, precision).lam
+    # 53 bits is mpmath's default, so doubles run as they did
+    with mpmath.workprec(precision or 53):
+        inv_cd = _inv_cd_direct(lam, n)
+        mu_center = lam ** n / inv_cd
+    h_ind = reference_induced_parry_entropy(n, precision)
+    if precision is None:
+        margin = math.log(2 * n - 2) - h_ind
+    else:
+        with mpmath.workprec(precision):
+            margin = mpmath.log(2 * n - 2) - h_ind
+    return lam, inv_cd, mu_center, h_ind, margin
+
+
+@pytest.mark.parametrize("bits,n_values", [
+    (None, range(3, 54)),
+    (150, range(3, 61)),
+    (200, range(3, 61)),
+], ids=["double", "150-bits", "200-bits"])
+def test_parry_center_matches_reference(bits, n_values):
+    for n in n_values:
+        got = parry_center(n, bits)
+        assert [_bits(x) for x in got] == [
+            _bits(x) for x in reference_center(n, bits)], n
+        kind = float if bits is None else mpmath.mpf
+        assert all(type(x) is kind for x in got), n
+
+
+@pytest.mark.parametrize("bits", [None, 150, 200], ids=["default", "150-bits",
+                                                         "200-bits"])
+def test_check_inequality_matches_reference(bits):
+    # the default runs n <= 30 in doubles and n = 31..60 at 150 bits; an
+    # explicit width runs every n at it (the former extended_threshold=0)
+    want = (reference_check_inequality(60) if bits is None
+            else reference_check_inequality(60, extended_threshold=0,
+                                            bits=bits))
+    got = check_inequality(60, bits)
+    assert [[_bits(x) for x in r] for r in got] == [
+        [_bits(x) for x in r] for r in want]
+    assert all(type(x) is float for r in got for x in r[1:])
