@@ -28,6 +28,9 @@ INDUCED_CASES = [
     (3, 64, 512),
     (10, 64, 512),
     (24, 64, 512),
+    # the batches of bulk `simulate --samples 10000000` (1024 points)
+    (4, 1024, 9765),
+    (10, 1024, 9765),
 ]
 CHAIN_CASES = [
     (3, 1_000_000),

@@ -1,8 +1,5 @@
-"""The bulk loops, in numpy: the package's one kernel.
-
-They raise bare RuntimeError with a structured "kind:payload" message;
-`kernels` checks their inputs and translates those messages into the
-package's typed errors.
+"""The bulk loops, in numpy: the package's one kernel. They raise bare
+RuntimeError("kind:payload"), which `kernels` turns into typed errors.
 
 The invariant that keeps every output bit fixed is the per-point order of
 float operations: each point sees `x = beta*x - bit` for its coin, then
@@ -17,14 +14,15 @@ fast it comes:
   the points outside `[a, b]` through the rounds, as an ascending index
   set that shrinks every round, and counts the points that leave per
   round instead of keeping a return time per point. Rounds stay
-  synchronous over points while at least `_TAIL` are out; the fewer left
-  then finish point by point, each in a scalar loop to its return, and
-  go back with one scatter. A point's excursion reads no other point, so
-  only the order in which errors are met changes: the finish keys each
-  point's first error as (round, drift before escape, index) and raises
-  the least, which is the drift or escape the synchronous rounds would
-  meet first, at the same point. A point that has returned sits in
-  `[a, b]`, inside the guard band, and cannot be the one that escapes.
+  synchronous over points while at least `_TAIL` are out and `n_cap` is
+  not passed, and check no guard: past `domain_max + guard`, `beta*x - 1`
+  moves away from its fixed point `domain_max`, and below `-guard`,
+  `beta*x` falls further, so an escaped point is still out when the
+  rounds end (a beta too small for `domain_max` skips the rounds). The
+  rest finish point by point in `_finish`, the one place that raises;
+  then a replay of the step from its landing values raises the least
+  (round, drift before escape, index) of the points' first errors, which
+  a round-by-round check meets first: no excursion reads another.
 * `chain_sample` turns each uniform into its bin among the distinct
   values of all cumulative rows with one `searchsorted`, then walks a
   `(state, bin) -> next state` table over Python lists, `_CHAIN_CHUNK`
@@ -74,7 +72,8 @@ def induced_stats(beta, a, b, domain_max, n_cap, x0, steps, seed):
     low, high = -_GUARD, domain_max + _GUARD
     offsets = np.arange(count, dtype=np.uint64) * np.uint64(steps)
     block = max(1, _COIN_WORDS // max(count, 1))
-    least, most = np.minimum.reduce, np.maximum.reduce
+    outward = beta * low < low and beta * high - 1.0 > high
+    tail = _TAIL if outward else count + 1
     for k0 in range(0, steps, block):
         ks = np.arange(k0, min(k0 + block, steps), dtype=np.uint64)
         z = _raw(seed, _bits.STREAM_COIN, ks[:, None] + offsets)
@@ -82,34 +81,32 @@ def induced_stats(beta, a, b, domain_max, n_cap, x0, steps, seed):
             x = beta * x - bits
             idx = ((x < a) | (x > b)).nonzero()[0]
             hist[1] += count - idx.size
+            v = landed = x[idx]
             rounds = 1
-            while idx.size >= _TAIL:
-                if rounds > n_cap:
-                    raise RuntimeError(f"drift:{float(x[idx[0]])!r}")
-                v = x[idx]
+            while idx.size >= tail and rounds <= n_cap:
                 v = beta * v - (v > b)
-                if least(v) < low or most(v) > high:
-                    bad = (v < low) | (v > high)
-                    raise RuntimeError(f"escape:{float(v[bad][0])!r}")
                 x[idx] = v
-                left = idx.size
-                idx = idx[(v < a) | (v > b)]
-                hist[rounds + 1] += left - idx.size
+                keep = ((v < a) | (v > b)).nonzero()[0]
+                hist[rounds + 1] += idx.size - keep.size
+                idx, v = idx[keep], v[keep]
                 rounds += 1
             if idx.size:
-                x[idx] = _finish(beta, a, b, low, high, n_cap, hist,
-                                 x[idx].tolist(), rounds)
+                try:
+                    x[idx] = _finish(beta, a, b, low, high, n_cap, hist,
+                                     v.tolist(), rounds)
+                except RuntimeError:
+                    _finish(beta, a, b, low, high, n_cap, hist,
+                            landed.tolist(), 1)
+                    raise
     return np.array(hist, dtype=np.int64), x, hist[1]
 
 
 def _finish(beta, a, b, low, high, n_cap, hist, v, rounds):
     """Run each of a few points from round `rounds` to its return, one
-    point after the other; `v` holds their values in index order and
-    comes back holding their final values.
-
-    Each point's first error is keyed by (round, drift before escape,
-    position), and the least key is raised: the error the synchronous
-    rounds would meet first."""
+    after the other; `v` holds their values in index order and comes back
+    holding their final values. Each point's first error is keyed by
+    (round, drift before escape, position), and the least key is raised:
+    the error a round-by-round check over all points would meet first."""
     errors = []
     for i, y in enumerate(v):
         r = rounds

@@ -27,19 +27,22 @@ def _retype(exc: RuntimeError, ctx):
     return exc
 
 
+def _at_least(name, value, least):
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value!r}")
+
+
 def induced_stats(ctx, x0, steps: int, seed: int):
     """Bulk first-return statistics. Returns (hist, final_x, tau1_count);
-    hist[t] counts returns at time t over all points and steps. Starts
-    must be finite and lie in the switch interval [a, b]."""
+    hist[t] counts returns at time t over all points and steps, of which
+    there must be one or more; starts must be finite and in [a, b]."""
+    _at_least("steps", steps, 1)
     x0 = np.ascontiguousarray(x0, dtype=np.float64)
-    finite = np.isfinite(x0)
-    if not finite.all():
-        raise ValueError(
-            f"starts must be finite, got {float(x0[~finite][0])!r}")
-    outside = (x0 < ctx.a) | (x0 > ctx.b)
+    _at_least("x0 size", x0.size, 1)
+    outside = ~((x0 >= ctx.a) & (x0 <= ctx.b))  # NaN lies outside too
     if outside.any():
-        raise ValueError(f"starts must lie in [a, b] = [{ctx.a!r}, "
-                         f"{ctx.b!r}], got {float(x0[outside][0])!r}")
+        raise ValueError(f"starts must be finite and in [a, b] = [{ctx.a!r},"
+                         f" {ctx.b!r}], got {float(x0[outside][0])!r}")
     try:
         return _kernels_py.induced_stats(ctx.beta, ctx.a, ctx.b,
                                          ctx.domain_max, ctx.n, x0,
@@ -51,8 +54,7 @@ def induced_stats(ctx, x0, steps: int, seed: int):
 def chain_sample(cum_rows, start_cum, steps: int, seed: int):
     """Seeded Markov path from non-decreasing cumulative rows; int8
     states, so at most 127 of them."""
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps!r}")
+    _at_least("steps", steps, 1)
     cum_rows = np.ascontiguousarray(cum_rows, dtype=np.float64)
     start_cum = np.ascontiguousarray(start_cum, dtype=np.float64)
     m = start_cum.size
@@ -72,18 +74,19 @@ def chain_sample(cum_rows, start_cum, steps: int, seed: int):
 
 def uniform_array(seed: int, count: int, stream: int = STREAM_CHAIN):
     """count uniforms in [0, 1) from the counter-based stream."""
+    _at_least("count", count, 0)
     return _kernels_py._uniforms(int(seed) & _MASK, stream, 0, count)
 
 
 def uniform_starts(seed: int, count: int, lo: float, hi: float):
     """Seeded start points spread over [lo, hi], on a stream of their own
     so they never collide with the coin bits for the same seed."""
-    u = uniform_array(seed, count, stream=STREAM_START)
-    return lo + (hi - lo) * u
+    return lo + (hi - lo) * uniform_array(seed, count, STREAM_START)
 
 
 def coin_bits(seed: int, count: int):
     """First `count` coin bits of the scalar stream, vectorized."""
+    _at_least("count", count, 0)
     idx = np.arange(count, dtype=np.uint64)
     z = _kernels_py._raw(int(seed) & _MASK, STREAM_COIN, idx)
     return (z >> np.uint64(63)).astype(np.uint8)

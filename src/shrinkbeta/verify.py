@@ -205,10 +205,10 @@ def markov_suite(n_values=(3, 4, 5, 6, 8, 10), n_inequality=40,
                          res_r, 0.0, 1e-10))
         rows.append(_row("eigen-residual-left", n, "normalized",
                          res_l, 0.0, 1e-10))
-        lam = solve_lambda(n).lam
-        inv_direct = markov._inv_cd_direct(lam, n)
+        center = markov.parry_center(n)
+        lam = center.lam
         rows.append(_row("normalization-closed-form", n, "",
-                         markov.closed_form_inv_cd(lam, n) / inv_direct,
+                         markov.closed_form_inv_cd(lam, n) / center.inv_cd,
                          1.0, 1e-12))
         chain = markov.build_chain(n)
         rows.append(_row("chain-entropy-is-log-lambda", n, "",

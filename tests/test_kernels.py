@@ -161,6 +161,31 @@ def test_non_finite_starts_rejected(bad):
         kernels.induced_stats(CTX, np.array([bad, 1.45]), 3, 1)
 
 
+@pytest.mark.parametrize("steps", [0, -3])
+def test_induced_stats_rejects_no_steps(steps):
+    with pytest.raises(ValueError, match="steps must be >= 1, got"):
+        kernels.induced_stats(CTX, np.array([1.45]), steps, 1)
+
+
+def test_induced_stats_rejects_no_starts():
+    with pytest.raises(ValueError, match="x0 size must be >= 1, got 0"):
+        kernels.induced_stats(CTX, np.array([]), 3, 1)
+
+
+SAMPLERS = {
+    "uniform_array": lambda count: kernels.uniform_array(1, count),
+    "uniform_starts": lambda count: kernels.uniform_starts(1, count, 0, 1),
+    "coin_bits": lambda count: kernels.coin_bits(1, count),
+}
+
+
+@pytest.mark.parametrize("sampler", SAMPLERS)
+def test_samplers_reject_negative_counts(sampler):
+    with pytest.raises(ValueError, match="count must be >= 0, got -1"):
+        SAMPLERS[sampler](-1)
+    assert SAMPLERS[sampler](0).size == 0
+
+
 @pytest.mark.parametrize("cum_rows, start_cum", [
     (np.ones((128, 128)), np.ones(128)),        # beyond int8 states
     (np.ones((2, 3)), np.ones(2)),
@@ -378,6 +403,68 @@ def test_errors_follow_round_order_not_point_order(case, tail):
     with mock.patch.object(_kernels_py, "_TAIL", tail):
         got = _outcome(_kernels_py.induced_stats, *args)
     assert got[0] == "error" and got[1].startswith(kind + ":")
+    assert got == _outcome(reference_induced_stats, *args)
+
+
+def _bulk_shape_args(n_cap, seed=10):
+    """1024 starts at n = 10, as in a default bulk `simulate` batch, under
+    the round cap `n_cap`: return times above n_cap + 1 drift."""
+    ctx = solve_beta(10)
+    x0 = kernels.uniform_starts(seed, 1024, ctx.a, ctx.b)
+    return [ctx.beta, ctx.a, ctx.b, ctx.domain_max, n_cap, x0, 20, seed]
+
+
+def _finish_calls(args):
+    """The kernel's outcome, and (point count, first round) of each of its
+    `_finish` calls."""
+    with mock.patch.object(_kernels_py, "_finish",
+                           wraps=_kernels_py._finish) as spy:
+        got = _outcome(_kernels_py.induced_stats, *args)
+    return got, [(len(c.args[7]), c.args[8]) for c in spy.call_args_list]
+
+
+def test_drift_at_the_round_cap_is_replayed():
+    # about 140 of 1024 points are still out after 4 rounds, so the
+    # synchronous rounds reach the cap and hand all of them on
+    args = _bulk_shape_args(4)
+    got, calls = _finish_calls(args)
+    assert got[0] == "error" and got[1].startswith("drift:")
+    assert calls[0][0] > _kernels_py._TAIL and calls[0][1] == 5
+    assert len(calls) == 2 and calls[1][1] == 1
+    assert got == _outcome(reference_induced_stats, *args)
+
+
+def test_escape_at_round_one_beats_a_later_drift():
+    # the start just above domain_max escapes at round 1 of the first
+    # step; the rounds check no guard and meet the drift at the cap first
+    args = _bulk_shape_args(4)
+    args[5] = args[5].copy()
+    args[5][1000] = args[3] + 1e-6
+    got, calls = _finish_calls(args)
+    assert got[0] == "error" and got[1].startswith("escape:")
+    assert calls[0][1] == 5 and calls[1][1] == 1
+    assert got == _outcome(reference_induced_stats, *args)
+
+
+def test_drift_in_the_tail_is_replayed():
+    # only points with return time 10 drift, too few for the rounds
+    args = _bulk_shape_args(8)
+    got, calls = _finish_calls(args)
+    assert got[0] == "error" and got[1].startswith("drift:")
+    assert calls[0][0] < _kernels_py._TAIL and calls[0][1] <= 8
+    assert calls[-1][1] == 1
+    assert got == _outcome(reference_induced_stats, *args)
+
+
+def test_escape_that_falls_back_matches_reference():
+    # beta = 1.2 is too small for n = 3's domain_max: above it, beta*x - 1
+    # falls towards 1/(beta - 1) = 5, so the last start escapes at round 1
+    # and comes back to [a, b] later in the step
+    args = (1.2, CTX.a, CTX.b, CTX.domain_max, 40,
+            np.array([1.5, 1.5, 1.5, 4.0]), 1, 1)
+    with mock.patch.object(_kernels_py, "_TAIL", 1):
+        got = _outcome(_kernels_py.induced_stats, *args)
+    assert got[0] == "error" and got[1].startswith("escape:")
     assert got == _outcome(reference_induced_stats, *args)
 
 
