@@ -22,9 +22,8 @@ from .markov import (MarkovChain, build_adjacency, build_chain,
                      build_partition, check_inequality, eigen_closed_form,
                      parry_center, parry_measure, sample_chain)
 from .measures import (CylinderSpec, InducedMeasureSpec, abramov_check,
-                       cylinder_preimage_interval, empirical_entropy,
-                       entropy_rate_estimate, integral_tau, kac_lift,
-                       pushforward_check)
+                       cylinder_preimage_interval, entropy_rate_estimate,
+                       integral_tau, kac_lift, pushforward_check)
 from .symbolic import (SymbolicWord, alphabet, boundary_expansions, decode,
                        encode, mme_entropy)
 
@@ -42,7 +41,7 @@ __all__ = [
     "build_partition", "check_inequality", "eigen_closed_form",
     "parry_center", "parry_measure", "sample_chain", "CylinderSpec",
     "InducedMeasureSpec", "abramov_check", "cylinder_preimage_interval",
-    "empirical_entropy", "entropy_rate_estimate", "integral_tau", "kac_lift",
-    "pushforward_check", "SymbolicWord", "alphabet", "boundary_expansions",
-    "decode", "encode", "mme_entropy", "__version__",
+    "entropy_rate_estimate", "integral_tau", "kac_lift", "pushforward_check",
+    "SymbolicWord", "alphabet", "boundary_expansions", "decode", "encode",
+    "mme_entropy", "__version__",
 ]

@@ -64,7 +64,8 @@ def induced_stats(beta, a, b, domain_max, n_cap, x0, steps, seed):
     Point j consumes coin indices j*steps .. j*steps + steps - 1, so point
     0 sees exactly the scalar stream for the same seed. Returns
     (histogram of return times, final positions, count of exact returns at
-    time 1). Return times above n_cap mean drift and raise.
+    time 1). A return time of n_cap + 1 is counted in hist[n_cap + 1];
+    return times above it mean drift and raise.
     """
     x = np.array(x0, dtype=np.float64, copy=True)
     count = x.size

@@ -202,7 +202,7 @@ def _check_chain_samples(samples: int, n: int) -> None:
 
 def cmd_parry(args) -> int:
     _check_chain_samples(args.samples, args.n)
-    chain = markov.build_chain(args.n)
+    chain = markov.parry_chain(args.n)
     h = markov.entropy_rate(chain.p, chain.P_trans)
     report = {
         "n": args.n,
@@ -274,7 +274,7 @@ def cmd_entropy(args) -> int:
             "margin": _scale(r.margin, args.log_base),
         }
         if args.samples > 0 and r.n <= _SAMPLED_N_MAX:
-            chain = markov.build_chain(r.n)
+            chain = markov.parry_chain(r.n)
             path = markov.sample_chain(chain, args.samples, args.seed)
             est = measures.entropy_rate_estimate(np.asarray(path), 2,
                                                  alphabet_size=len(chain.p))

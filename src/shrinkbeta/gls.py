@@ -84,15 +84,23 @@ def _check_increasing(points, side):
                 f"{side} breakpoints not strictly increasing: {x0!r} !< {x1!r}")
 
 
-def greedy_breakpoints(ctx: AlgebraicBeta) -> GlsPartition:
-    """Greedy-side partition: c_1 = a, interior points beta^j*a - beta^(j-1)
-    + 1/beta (j = 1..n-2), c_n = b."""
+def _greedy_points(ctx: AlgebraicBeta) -> list:
+    """The greedy breakpoints, checked to increase. The lazy side and the
+    return-time vector read them without building a partition."""
     beta, a, b, n = ctx.beta, ctx.a, ctx.b, ctx.n
     cs = [a]
     for j in range(1, n - 1):
         cs.append(beta ** j * a - beta ** (j - 1) + 1 / beta)
     cs.append(b)
     _check_increasing(cs, "greedy")
+    return cs
+
+
+def greedy_breakpoints(ctx: AlgebraicBeta) -> GlsPartition:
+    """Greedy-side partition: c_1 = a, interior points beta^j*a - beta^(j-1)
+    + 1/beta (j = 1..n-2), c_n = b."""
+    beta, a, b, n = ctx.beta, ctx.a, ctx.b, ctx.n
+    cs = _greedy_points(ctx)
     slopes = tuple(beta ** (n - i) for i in range(n - 1))
     offsets = tuple(beta ** (n - i - 1) for i in range(n - 1))
     rts = tuple(n - i for i in range(n - 1))
@@ -111,10 +119,10 @@ def lazy_breakpoints(ctx: AlgebraicBeta) -> GlsPartition:
     up to a couple of ulps).
     """
     beta, a, b, n = ctx.beta, ctx.a, ctx.b, ctx.n
-    greedy = greedy_breakpoints(ctx)
+    cs = _greedy_points(ctx)
     ds = [a]
     for j in range(1, n - 1):
-        ds.append(ctx.domain_max - greedy.breakpoints[n - 1 - j])
+        ds.append(ctx.domain_max - cs[n - 1 - j])
     ds.append(b)
     _check_increasing(ds, "lazy")
     slopes = tuple(beta ** (i + 2) for i in range(n - 1))
@@ -131,11 +139,10 @@ def return_time_vector(ctx: AlgebraicBeta) -> ReturnTimeVector:
     Equals beta^(-t) up to rounding; the total is 1 because
     sum_{t=2..n} beta^(-t) = 1 is the defining equation of beta.
     """
-    part = greedy_breakpoints(ctx)
+    cs = _greedy_points(ctx)
     width = ctx.b - ctx.a
-    pi = {}
-    for length, t in zip(part.branch_lengths(), part.return_times):
-        pi[t] = length / width
+    # greedy branch i has return time n - i
+    pi = {ctx.n - i: (cs[i + 1] - cs[i]) / width for i in range(ctx.n - 1)}
     return ReturnTimeVector(n=ctx.n, pi=pi)
 
 

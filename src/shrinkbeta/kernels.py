@@ -23,7 +23,8 @@ def _retype(exc: RuntimeError, ctx):
                                 "bulk kernel")
     if kind == "drift":
         return InvariantViolationError(
-            f"return time exceeded n={ctx.n} at x={payload} (bulk kernel)")
+            f"return time exceeded n+1 = {ctx.n + 1} at x={payload} "
+            f"(bulk kernel)")
     return exc
 
 

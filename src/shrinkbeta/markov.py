@@ -22,6 +22,7 @@ cell divides the entropy by its weight p_center = cd*lam^n.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -273,14 +274,25 @@ def parry_measure(adjacency, lam, u, v):
 
 
 def build_chain(n: int) -> MarkovChain:
+    """The Parry chain on the 2n-1 cells, with read-only arrays so that
+    `parry_chain` can share one per n."""
     ctx = solve_beta(n)
     lam = solve_lambda(n).lam
     cells = build_partition(ctx)
     adjacency = build_adjacency(n)
     u, v, cd = eigen_closed_form(lam, n)
     p, trans = parry_measure(adjacency, lam, u, v)
+    for array in (adjacency, u, v, p, trans):
+        array.setflags(write=False)
     return MarkovChain(n=n, lam=lam, cells=tuple(cells), adjacency=adjacency,
                        u=u, v=v, cd=cd, p=p, P_trans=trans)
+
+
+# typed: 3.0 and np.int64(3) hash like 3 but must reach build_chain's checks
+@functools.lru_cache(maxsize=None, typed=True)
+def parry_chain(n: int) -> MarkovChain:
+    """`build_chain(n)`, built once per process and shared by every caller."""
+    return build_chain(n)
 
 
 def entropy_rate(p, trans) -> float:
@@ -324,7 +336,15 @@ def parry_center(n: int, precision: int | None = None) -> ParryCenter:
     induced entropy h_induced = log(lam) / (cd lam^n) and the entropy
     margin log(2n-2) - h_induced, all in one arithmetic: doubles for
     precision=None, else mpmath at that many bits (`algebra.arithmetic`).
+    Computed once per (n, precision) and shared: the fields are immutable.
     """
+    # one cache key however precision is passed
+    return _parry_center(n, precision)
+
+
+# typed: 3.0 and np.int64(3) hash like 3 but must reach solve_lambda's checks
+@functools.lru_cache(maxsize=None, typed=True)
+def _parry_center(n: int, precision: int | None) -> ParryCenter:
     lam = solve_lambda(n, precision).lam
     log = math.log if precision is None else mpmath.log
     with arithmetic(precision):
@@ -390,7 +410,7 @@ def perron_by_power_iteration(adjacency, max_iter: int = 20000,
 
 def chain_to_json(n: int) -> dict:
     """Full report: cells, adjacency, eigendata, chain, entropies."""
-    chain = build_chain(n)
+    chain = parry_chain(n)
     center = parry_center(n)
     return {
         "n": n,

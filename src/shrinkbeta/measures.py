@@ -41,6 +41,9 @@ _CHUNK = 1024
 # blocks block_entropy encodes and counts at once, so a long int8 path is
 # never copied whole to int64
 _BLOCK_CHUNK = 65536
+# most terms cylinder_overlap evaluates at once (one prefix's tail may
+# exceed it and is then evaluated alone)
+_OVERLAP_CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -97,13 +100,19 @@ def bernoulli_mass(bits, p: float) -> float:
 
 
 @functools.lru_cache(maxsize=None)
+def partitions(ctx: AlgebraicBeta) -> tuple:
+    """The greedy and lazy partitions of ctx, built once per context and
+    shared (they are frozen, with tuple fields)."""
+    return greedy_breakpoints(ctx), lazy_breakpoints(ctx)
+
+
+@functools.lru_cache(maxsize=None)
 def _branches(ctx: AlgebraicBeta) -> dict:
     """(coin, t) -> (lo, hi, slope, offset) for every branch of the induced
     map: its domain [lo, hi] and its action x -> slope*x - offset. Coin 1
     takes the greedy side, coin 0 the lazy side. Built once per context."""
     table = {}
-    for coin, side in ((1, greedy_breakpoints), (0, lazy_breakpoints)):
-        part = side(ctx)
+    for coin, part in zip((1, 0), partitions(ctx)):
         bp = part.breakpoints
         for i, t in enumerate(part.return_times):
             table[coin, t] = (bp[i], bp[i + 1], part.slopes[i],
@@ -186,9 +195,10 @@ def _product_rectangle(nu: InducedMeasureSpec, ctx: AlgebraicBeta,
 
     Walks the symbolic cylinder tree, keeping for each node the forward
     affine map F(x) = S*x - O of its letter prefix and the interval J of
-    starts consistent with it. Nodes with J inside/outside the target
-    contribute fully/nothing; straddling nodes split until their weight
-    drops below tol, then contribute half their weight.
+    starts consistent with it. Nodes with J inside the target contribute
+    fully; a node with J outside it contributes nothing and is dropped
+    when it is built. Straddling nodes split until their weight drops
+    below tol, then contribute half their weight.
 
     The tree is walked depth-first, one numpy frontier chunk at a time. A
     chunk is a run of the depth-first sequence: open nodes of one depth,
@@ -197,7 +207,8 @@ def _product_rectangle(nu: InducedMeasureSpec, ctx: AlgebraicBeta,
     everything before them is summed. Each chunk is classified and
     expanded with the expressions of a scalar stack walk, and its leading
     finished values are added to the total left to right, so the result
-    is bit-identical to that walk, which visits the same nodes. Chunks
+    is bit-identical to that walk (the dead nodes it pops and discards add
+    nothing to its sum). Only the kept children's rows are built. Chunks
     longer than _CHUNK are split and walked one after the other, so about
     _CHUNK open nodes and their children are held at once, never a whole
     level.
@@ -206,9 +217,12 @@ def _product_rectangle(nu: InducedMeasureSpec, ctx: AlgebraicBeta,
     coins overlap in x, so a target endpoint interior to cylinders at every
     depth straddles one node per coin prefix. For such targets the node
     count grows like tol^(-1/2) and the truncation error can reach the sum
-    of the cut weights, far above tol. Exact callers therefore only pass
-    targets that resolve at finite depth: whole-interval targets, branch
-    domains, or symbolic cylinder preimages.
+    of the cut weights, far above tol. Dropping dead children does not
+    change that growth: at n = 3 the target [(a + b)/2, b] under the
+    uniform law takes about 18 s on a 2-vCPU Xeon. Exact callers
+    therefore only pass targets that resolve at finite depth:
+    whole-interval targets, branch domains, or symbolic cylinder
+    preimages.
     """
     branches = _branches(ctx)
     law = nu.law(ctx)
@@ -227,49 +241,63 @@ def _product_rectangle(nu: InducedMeasureSpec, ctx: AlgebraicBeta,
                 m *= p if bit else 1.0 - p
         return m
 
+    @functools.cache
+    def letter_rows(forced, first: bool):
+        # one column per letter, last letter first, as a stack pops them
+        # (none when a constraint excludes them all)
+        kids = [branches[coin, t] + (p if coin else 1.0 - p, law[t])
+                for coin, t in reversed(letters)
+                if (forced is None or coin == forced)
+                and not (first and t < min_first_rt)]
+        return np.array(kids).reshape(-1, 6).T
+
     total = 0.0
     # chunk: (depth of its open nodes, open flags, rows J_lo, J_hi, S, O, m)
     # where m is the weight of an open node and the value of a finished one
     stack = [(0, np.ones(1, bool),
               np.array([[ctx.a], [ctx.b], [1.0], [0.0], [1.0]]))]
     while stack:
-        depth, is_open, (j_lo, j_hi, s_acc, o_acc, weight) = stack.pop()
-        live = is_open & (j_hi > x_lo) & (j_lo < x_hi)
+        depth, is_open, rows = stack.pop()
+        j_lo, j_hi, _, _, weight = rows
+        # dead children are never kept, so every open node meets the target
+        inside = is_open & (x_lo <= j_lo) & (j_hi <= x_hi)
         # the root may not shortcut when a first-letter return-time
         # constraint is active: it is not encoded in the weight yet
-        inside = live & (x_lo <= j_lo) & (j_hi <= x_hi)
         if depth == 0 and min_first_rt > 2:
             inside[:] = False
         # straddling leaf: its mass lies between 0 and weight
-        cut = live & ~inside & ((weight <= tol) | (depth >= _MAX_DEPTH))
-        split = live & ~inside & ~cut
+        cut = is_open & ~inside & ((weight <= tol) | (depth >= _MAX_DEPTH))
+        split = is_open & ~inside & ~cut
+        done = ~split
         mass = coin_mass_from(depth)
         value = np.where(inside, weight * mass,
                          np.where(cut, 0.5 * weight * mass, weight))
 
-        forced = coin_constraints.get(depth)
-        kids = [branches[coin, t] + (p if coin else 1.0 - p, law[t])
-                for coin, t in reversed(letters)
-                if (forced is None or coin == forced)
-                and not (depth == 0 and t < min_first_rt)]
-        # slot 0 of an entry holds its finished value, slots 1.. its children
-        keep = np.zeros((len(value), len(kids) + 1), bool)
-        keep[:, 0] = ~is_open | inside | cut
-        rows = np.zeros((5,) + keep.shape)
-        rows[4, :, 0] = value
-        if kids:
-            d_lo, d_hi, s, o, coin_p, law_t = map(np.array, zip(*kids))
-            lo, hi = j_lo[split, None], j_hi[split, None]
-            s_acc, o_acc = s_acc[split, None], o_acc[split, None]
-            # child starts satisfy F(x) in [d_lo, d_hi]
-            c_lo = np.maximum(lo, (d_lo + o_acc) / s_acc)
-            c_hi = np.minimum(hi, (d_hi + o_acc) / s_acc)
-            keep[split, 1:] = c_lo < c_hi
-            rows[:, split, 1:] = (c_lo, c_hi, s * s_acc, s * o_acc + o,
-                                  weight[split, None] * coin_p * law_t)
-        is_open = keep.copy()
-        is_open[:, 0] = False
-        is_open, rows = is_open[keep], rows[:, keep]
+        d_lo, d_hi, s, o, coin_p, law_t = letter_rows(
+            coin_constraints.get(depth), depth == 0)
+        split_rows = rows[:, split]
+        lo, hi, s_acc, o_acc, _ = split_rows[:, :, None]
+        # child starts satisfy F(x) in [d_lo, d_hi]; a child whose starts
+        # miss the target is dead and dropped here
+        c_lo = np.maximum(lo, (d_lo + o_acc) / s_acc)
+        c_hi = np.minimum(hi, (d_hi + o_acc) / s_acc)
+        born = (c_lo < c_hi) & (c_hi > x_lo) & (c_lo < x_hi)
+        # each entry gives way in place to its finished value or to its
+        # live children: entry i fills the run of rows ending before end[i]
+        n_kids = born.sum(axis=1)
+        count = done.astype(np.intp)
+        count[split] = n_kids
+        end = count.cumsum()
+        rows = np.zeros((5, int(end[-1])))
+        rows[4, end[done] - 1] = value[done]
+        parent, slot = born.nonzero()
+        at = np.arange(parent.size) + (end[split] - n_kids.cumsum())[parent]
+        s_acc, o_acc, weight = split_rows[2:, parent]
+        rows[:, at] = (c_lo[born], c_hi[born], s[slot] * s_acc,
+                       s[slot] * o_acc + o[slot],
+                       weight * coin_p[slot] * law_t[slot])
+        is_open = np.zeros(rows.shape[1], bool)
+        is_open[at] = True
         head = int(is_open.argmax()) if is_open.any() else len(is_open)
         total = _add_in_order(total, rows[4, :head])
         for at in reversed(range(head, len(is_open), _CHUNK)):
@@ -384,9 +412,11 @@ def cylinder_overlap(law1, law2, depth: int) -> float:
     in log space to survive large depths.
 
     The count vectors are enumerated with the counts of the first letters in
-    increasing lexicographic order: a Python loop over all but the last two
-    letters, numpy over the count of the second-to-last letter, and the
-    rest on the last letter. A letter with count 0 adds nothing to the log
+    increasing lexicographic order: a Python loop over the counts of all
+    but the last two letters (a prefix), then numpy over the count of the
+    second-to-last letter with the rest on the last letter (the prefix's
+    tail). Consecutive prefixes' tails are evaluated in one pass of up to
+    _OVERLAP_CHUNK terms. A letter with count 0 adds nothing to the log
     terms, every term comes from math.exp and the terms are added left to
     right in that order, so the result is bit-identical to a scalar
     recursion over the same count vectors. The cost is one term per count
@@ -410,15 +440,28 @@ def cylinder_overlap(law1, law2, depth: int) -> float:
     logq = tuple(math.log(v) if v > 0.0 else -math.inf for v in q)
     last = len(p) - 1
     lg_fact = np.array([math.lgamma(k + 1) for k in range(depth + 1)])
-    total = 0.0
 
-    def tail(remaining: int, lg: float, lp: float, lq: float):
-        # count k of letter last-1 over 0..remaining (only 0 when there is
-        # one letter), the remaining r on letter `last`
-        nonlocal total
-        k = np.arange(remaining + 1 if last else 1)
-        r = remaining - k
-        lg, lp, lq = (np.full(k.size, v) for v in (lg, lp, lq))
+    def prefixes(slot: int, remaining: int, lg: float, lp: float, lq: float):
+        # counts of letters slot..last-2 in increasing lexicographic order,
+        # as (count left for the last two letters, lg, lp, lq)
+        if slot >= last - 1:
+            yield remaining, lg, lp, lq
+            return
+        yield from prefixes(slot + 1, remaining, lg, lp, lq)
+        for k in range(1, remaining + 1):
+            yield from prefixes(slot + 1, remaining - k, lg - lg_fact[k],
+                                lp + k * logp[slot], lq + k * logq[slot])
+
+    def add_tails(total: float, batch) -> float:
+        # every prefix's tail, in order: count k of letter last-1 over
+        # 0..remaining (only 0 when there is one letter), the remaining r
+        # on letter `last`
+        remaining, lg, lp, lq = map(np.array, zip(*batch))
+        width = remaining + 1 if last else np.ones_like(remaining)
+        first = width.cumsum() - width
+        k = np.arange(width.sum()) - np.repeat(first, width)
+        r = np.repeat(remaining, width) - k
+        lg, lp, lq = (np.repeat(v, width) for v in (lg, lp, lq))
         for at, count, slot in ((k > 0, k, last - 1), (r > 0, r, last)):
             count = count[at]
             lg[at] -= lg_fact[count]
@@ -426,20 +469,17 @@ def cylinder_overlap(law1, law2, depth: int) -> float:
             lq[at] += count * logq[slot]
         exponent = lg + np.minimum(lp, lq)
         # exp underflows to 0 below -745 anyway
-        total = _add_in_order(total, [math.exp(e) for e in
-                                      exponent[exponent > -745.0].tolist()])
+        return _add_in_order(total, list(map(
+            math.exp, exponent[exponent > -745.0].tolist())))
 
-    def scan(slot: int, remaining: int, lg: float, lp: float, lq: float):
-        if slot >= last - 1:
-            tail(remaining, lg, lp, lq)
-            return
-        scan(slot + 1, remaining, lg, lp, lq)
-        for k in range(1, remaining + 1):
-            scan(slot + 1, remaining - k, lg - lg_fact[k],
-                 lp + k * logp[slot], lq + k * logq[slot])
-
-    scan(0, depth, lg_fact[depth], 0.0, 0.0)
-    return total
+    total, batch, terms = 0.0, [], 0
+    for prefix in prefixes(0, depth, lg_fact[depth], 0.0, 0.0):
+        width = prefix[0] + 1 if last else 1
+        if batch and terms + width > _OVERLAP_CHUNK:
+            total, batch, terms = add_tails(total, batch), [], 0
+        batch.append(prefix)
+        terms += width
+    return add_tails(total, batch)
 
 
 class AbramovResult(NamedTuple):
@@ -506,13 +546,6 @@ def _checked_sample(sample, block_len: int, alphabet_size):
             f"need >= {100 * alphabet_size ** block_len} symbols for "
             f"block length {block_len}, got {sample.size}")
     return sample, alphabet_size
-
-
-def empirical_entropy(sample, block_len: int,
-                      alphabet_size: int = None) -> float:
-    """Per-symbol block entropy -(1/L) sum f log f over length-L blocks."""
-    sample, alphabet_size = _checked_sample(sample, block_len, alphabet_size)
-    return block_entropy(sample, block_len, alphabet_size) / block_len
 
 
 def entropy_rate_estimate(sample, block_len: int,

@@ -17,8 +17,7 @@ import numpy as np
 from . import kernels, markov, measures, symbolic
 from .algebra import solve_beta, solve_lambda
 from .dynamics import CoinStream, PointState, return_time
-from .gls import (greedy_breakpoints, lazy_breakpoints, return_time_law,
-                  return_time_vector)
+from .gls import return_time_law, return_time_vector
 
 _DEFAULT_SEED = 20260814
 
@@ -58,8 +57,7 @@ def gls_suite(n_values=(3, 4, 5, 8, 12, 20), seed=_DEFAULT_SEED):
     for n in n_values:
         ctx = solve_beta(n)
         width = ctx.b - ctx.a
-        gp = greedy_breakpoints(ctx)
-        lp = lazy_breakpoints(ctx)
+        gp, lp = measures.partitions(ctx)
         for part in (gp, lp):
             side = part.side
             gaps = part.branch_lengths()
@@ -210,7 +208,7 @@ def markov_suite(n_values=(3, 4, 5, 6, 8, 10), n_inequality=40,
         rows.append(_row("normalization-closed-form", n, "",
                          markov.closed_form_inv_cd(lam, n) / center.inv_cd,
                          1.0, 1e-12))
-        chain = markov.build_chain(n)
+        chain = markov.parry_chain(n)
         rows.append(_row("chain-entropy-is-log-lambda", n, "",
                          markov.entropy_rate(chain.p, chain.P_trans),
                          math.log(lam), 1e-10))

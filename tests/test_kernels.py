@@ -2,6 +2,7 @@
 error retyping."""
 
 import math
+import re
 import tracemalloc
 from bisect import bisect_right
 from types import SimpleNamespace
@@ -124,6 +125,17 @@ def test_drift_retyped():
                            domain_max=CTX.domain_max, n=CTX.n)
     with pytest.raises(InvariantViolationError):
         kernels.induced_stats(fake, np.array([1.5]), 4, 1)
+
+
+def test_drift_message_names_n_plus_one():
+    # time n + 1 is still counted and only a longer return drifts, so the
+    # message names n+1, in dynamics.return_time's words
+    fake = SimpleNamespace(beta=1.1, a=CTX.a, b=CTX.b,
+                           domain_max=CTX.domain_max, n=CTX.n)
+    with pytest.raises(InvariantViolationError) as info:
+        kernels.induced_stats(fake, np.array([1.5]), 4, 1)
+    assert re.fullmatch(r"return time exceeded n\+1 = 4 at x=\S+ "
+                        r"\(bulk kernel\)", str(info.value))
 
 
 @pytest.mark.parametrize("bad", [0.0, 0.5, 1.9, CTX.domain_max + 2.0],

@@ -321,3 +321,37 @@ def test_check_inequality_matches_reference(bits):
     assert [[_bits(x) for x in r] for r in got] == [
         [_bits(x) for x in r] for r in want]
     assert all(type(x) is float for r in got for x in r[1:])
+
+
+def test_second_check_inequality_reuses_the_centres(monkeypatch):
+    first = check_inequality(40)
+    # every centre is cached now: no root is solved again
+    monkeypatch.setattr(markov, "solve_lambda", None)
+    assert check_inequality(40) == first
+    assert parry_center(30) is parry_center(30, None)
+    assert parry_center(40, 150) is parry_center(40, 150)
+
+
+def test_parry_chain_is_built_once_and_read_only(monkeypatch):
+    markov.parry_chain.cache_clear()
+    builds = []
+    monkeypatch.setattr(markov, "build_chain",
+                        lambda n: builds.append(n) or build_chain(n))
+    chain = markov.parry_chain(6)
+    assert markov.parry_chain(6) is chain
+    assert builds == [6]
+    for array in (chain.adjacency, chain.u, chain.v, chain.p, chain.P_trans):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+
+
+@pytest.mark.parametrize("n", [3.0, np.int64(3), True],
+                         ids=["float", "numpy-int", "bool"])
+def test_caches_check_n_first(n):
+    # each equals or hashes like a cached int key
+    markov.parry_chain(3)
+    parry_center(3)
+    with pytest.raises(ValueError, match="integer"):
+        markov.parry_chain(n)
+    with pytest.raises(ValueError, match="integer"):
+        parry_center(n)

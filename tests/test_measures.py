@@ -16,7 +16,7 @@ from shrinkbeta.gls import greedy_breakpoints, lazy_breakpoints, return_time_law
 from shrinkbeta.measures import (CylinderSpec, InducedMeasureSpec,
                                  abramov_check, bernoulli_mass, block_entropy,
                                  cylinder_overlap, cylinder_preimage_interval,
-                                 empirical_entropy, entropy_rate_estimate,
+                                 entropy_rate_estimate,
                                  integral_tau, k_preimage_rectangles,
                                  kac_lift, lift_invariance_deviation,
                                  pushforward_check, rectangle_measure)
@@ -180,6 +180,13 @@ def test_cylinder_overlap_basics():
         cylinder_overlap((0.5, 0.5), (0.5,), 3)
     with pytest.raises(ValueError):
         cylinder_overlap((0.5, 0.5), (0.5, 0.5), -1)
+
+
+def empirical_entropy(sample, block_len, alphabet_size=None):
+    """Per-symbol block entropy -(1/L) sum f log f over length-L blocks."""
+    sample, alphabet_size = measures._checked_sample(sample, block_len,
+                                                     alphabet_size)
+    return block_entropy(sample, block_len, alphabet_size) / block_len
 
 
 def test_block_entropy_estimators():
@@ -421,3 +428,84 @@ def test_cylinder_overlap_matches_recursion(args):
         warnings.simplefilter("error", RuntimeWarning)
         value = cylinder_overlap(*args)
     assert value.hex() == recursive_overlap(*args).hex()
+
+
+@st.composite
+def pruned_targets(draw):
+    """Targets whose endpoints sit where children die at birth: branch
+    breakpoints, the excursion preimages (a + off) / beta^k and
+    (b + off) / beta^k that kac_lift cuts at, and one-ulp slivers."""
+    n = draw(st.integers(3, 6))
+    ctx = solve_beta(n)
+    beta = ctx.beta
+    points = {v for lo, hi, _, _ in measures._branches(ctx).values()
+              for v in (lo, hi)}
+    for k in range(1, n):
+        for off in (beta ** (k - 1), (beta ** (k - 1) - 1) / (beta - 1)):
+            points.update(x for x in ((ctx.a + off) / beta ** k,
+                                      (ctx.b + off) / beta ** k)
+                          if ctx.a <= x <= ctx.b)
+    points = sorted(points)
+    if draw(st.booleans()):
+        x = draw(st.sampled_from(points) | st.floats(ctx.a, ctx.b))
+        lo, hi = x, math.nextafter(x, math.inf)
+    else:
+        lo, hi = sorted(draw(st.lists(st.sampled_from(points), min_size=2,
+                                      max_size=2, unique=True)))
+    weights = draw(st.lists(st.floats(0.05, 1.0), min_size=n - 1,
+                            max_size=n - 1))
+    nu = InducedMeasureSpec(kind="product", p=draw(st.floats(0.05, 0.95)),
+                            pi=tuple(w / sum(weights) for w in weights))
+    constraints = draw(st.dictionaries(st.integers(0, 4), st.integers(0, 1),
+                                       max_size=3))
+    return (nu, ctx, constraints, lo, hi, draw(st.integers(2, n)),
+            draw(st.sampled_from([1e-3, 1e-5])))
+
+
+@settings(max_examples=80, deadline=None)
+@given(args=pruned_targets(), chunk=st.sampled_from([1, 5, 1024]))
+def test_product_rectangle_pruning_matches_scalar_walk(args, chunk):
+    with mock.patch.object(measures, "_CHUNK", chunk), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        value = measures._product_rectangle(*args)
+    assert value.hex() == scalar_product_rectangle(*args).hex()
+
+
+def test_product_rectangle_with_no_letter_left():
+    # a first-letter bound above n leaves the root no child at all
+    nu, ctx = InducedMeasureSpec(kind="product", p=0.5, pi=(0.5, 0.5)), CTX
+    args = (nu, ctx, {0: 1}, ctx.a, ctx.b, 4)
+    assert measures._product_rectangle(*args) == 0.0
+    assert scalar_product_rectangle(*args) == 0.0
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 8192])
+@pytest.mark.parametrize("law1,law2,depth", [
+    # 39,711 count vectors: five chunks of the default size
+    ((0.1, 0.2, 0.3, 0.4), (0.25, 0.25, 0.25, 0.25), 60),
+    ((0.1, 0.2, 0.3, 0.15, 0.25), (0.2, 0.2, 0.2, 0.2, 0.2), 24),
+    ((0.5, 0.0, 0.25, 0.25), (0.3, 0.3, 0.0, 0.4), 50),
+    ((0.25, 0.25, 0.5, 0.0, 0.0), (0.2, 0.0, 0.2, 0.3, 0.3), 20),
+    # one tail longer than a default chunk
+    ((0.6, 0.4), (0.5, 0.5), 9000),
+], ids=["four-letters", "five-letters", "four-with-zeros",
+        "five-with-zeros", "long-tail"])
+def test_cylinder_overlap_chunks_match_recursion(law1, law2, depth, chunk):
+    with mock.patch.object(measures, "_OVERLAP_CHUNK", chunk), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        value = cylinder_overlap(law1, law2, depth)
+    assert value.hex() == recursive_overlap(law1, law2, depth).hex()
+
+
+def test_partitions_are_built_once_per_context():
+    ctx = solve_beta(11)
+    measures.partitions.cache_clear()
+    spy = mock.Mock(wraps=greedy_breakpoints)
+    with mock.patch.object(measures, "greedy_breakpoints", spy):
+        first = measures.partitions(ctx)
+        assert measures.partitions(ctx) is first
+    assert spy.call_count == 1
+    assert [part.side for part in first] == ["greedy", "lazy"]
+    assert first == (greedy_breakpoints(ctx), lazy_breakpoints(ctx))
