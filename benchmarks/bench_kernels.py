@@ -2,21 +2,24 @@
 
 Runs the first-return statistics loop (`induced_stats`) and the Parry
 chain sampler (`chain_sample`) for a few problem sizes and prints the
-best wall times. A last table times the extended-precision work behind
-`entropy --n-range 3..60`, which the kernels do not touch: `solve_lambda`
-at 150 bits for n = 31..60 from an empty root cache, and `_inv_cd_direct`
-on those roots.
+best wall times. Two last tables time work the kernels do not touch. One
+is the extended-precision work behind `entropy --n-range 3..60`:
+`solve_lambda` at 150 bits for n = 31..60 from an empty root cache, and
+`_inv_cd_direct` on those roots. The other is the depth-4 cylinder
+preimage intervals behind `verify`'s `depth4-cylinders-*` rows: one
+`measures.cylinder_preimage_table` per coin word, 16 (n-1)^4 words.
 
 Usage: python3 benchmarks/bench_kernels.py [--repeat 3] [--seed 1]
 """
 
 import argparse
 import time
+from itertools import product
 
 import mpmath
 import numpy as np
 
-from shrinkbeta import algebra, kernels, markov
+from shrinkbeta import algebra, kernels, markov, measures
 from shrinkbeta.algebra import solve_beta, solve_lambda
 
 INDUCED_CASES = [
@@ -36,6 +39,9 @@ CHAIN_CASES = [
     (3, 1_000_000),
     (8, 1_000_000),
 ]
+# the n of verify --suite symbolic's depth-4 rows (3..5 by default, 3..6
+# in verify-sweep) and a larger one
+CYLINDER_NS = (3, 4, 5, 6, 10)
 # check_inequality's extended rows: n above 30 at 150 bits
 MP_NS = range(31, 61)
 MP_BITS = 150
@@ -86,6 +92,17 @@ def run(repeat: int, seed: int) -> None:
     for name, call in (("solve_lambda (cold cache)", solve_cold),
                        ("_inv_cd_direct", inv_cd)):
         print(f"{name:>29} {_best(call, repeat):>14.4f}")
+
+    print(f"depth-4 cylinder preimages\n{'n':>4} {'words':>8} {'[s]':>14}")
+    for n in CYLINDER_NS:
+        ctx = solve_beta(n)
+        measures.cylinder_preimage_table((0, 0, 0, 0), ctx)  # warm caches
+
+        def tables():
+            for coins in product((0, 1), repeat=4):
+                measures.cylinder_preimage_table(coins, ctx)
+
+        print(f"{n:>4} {16 * (n - 1) ** 4:>8} {_best(tables, repeat):>14.4f}")
 
 
 def main() -> None:

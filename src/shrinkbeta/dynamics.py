@@ -18,7 +18,7 @@ countable deleted set (return time 1 happens only for (x=a, bit 0) or
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import _bits
@@ -69,7 +69,7 @@ class CoinStream:
         return self.bit_at(self.cursor)
 
     def advanced(self) -> "CoinStream":
-        return replace(self, cursor=self.cursor + 1)
+        return CoinStream(self.mode, self.seed, self.prefix, self.cursor + 1)
 
 
 @dataclass(frozen=True)

@@ -227,11 +227,7 @@ def eigen_closed_form(lam, n: int):
         u_unit[i] = s / power
         u_unit[size - 1 - i] = u_unit[i]
     u_unit[n - 1] = lam
-    if isinstance(lam, mpmath.mpf):
-        inv_cd = mpmath.fsum(u_unit * v)
-    else:
-        inv_cd = math.fsum(float(a) * float(b) for a, b in zip(u_unit, v))
-    cd = 1.0 / inv_cd
+    cd = 1 / _inv_cd_direct(lam, n)
     u = cd * u_unit
     res_v, res_u = _residuals(build_adjacency(n), lam, u, v)
     if res_v > _EIGEN_TOL or res_u > _EIGEN_TOL:

@@ -12,6 +12,9 @@ quadrature. Supported induced measures on Omega x [a, b]:
   adaptive refinement of symbolic cylinders, whose preimages are nested
   intervals shrinking geometrically.
 
+Cylinder preimages compose inverse branches from the last letter back;
+cylinder_preimage_table composes a coin word's shared suffixes only once.
+
 An induced-invariant measure nu lifts to an invariant measure mu of the
 full map by the first-return sum
 
@@ -108,37 +111,54 @@ def partitions(ctx: AlgebraicBeta) -> tuple:
 
 @functools.lru_cache(maxsize=None)
 def _branches(ctx: AlgebraicBeta) -> dict:
-    """(coin, t) -> (lo, hi, slope, offset) for every branch of the induced
-    map: its domain [lo, hi] and its action x -> slope*x - offset. Coin 1
-    takes the greedy side, coin 0 the lazy side. Built once per context."""
+    """coin -> read-only rows lo, hi, slope, offset of the induced map's
+    branches (domain [lo, hi], action x -> slope*x - offset), column t - 2
+    for return time t. Coin 1 takes the greedy side, coin 0 the lazy side."""
     table = {}
     for coin, part in zip((1, 0), partitions(ctx)):
         bp = part.breakpoints
-        for i, t in enumerate(part.return_times):
-            table[coin, t] = (bp[i], bp[i + 1], part.slopes[i],
-                              part.offsets[i])
+        rows = np.array([bp[:-1], bp[1:], part.slopes, part.offsets])
+        table[coin] = rows[:, [part.return_times.index(t)
+                               for t in range(2, ctx.n + 1)]]
+        table[coin].setflags(write=False)
     return table
+
+
+def _compose(columns, word):
+    """Arrays lo, hi of the starts whose coding takes a branch (column of
+    rows d_lo, d_hi, slope, offset) of each columns[k] in turn, ordered as
+    itertools.product over the columns. Composed from the back,
+    J = D_1 & L_1^-1(D_2 & ...), so each shared suffix is composed once."""
+    lo, hi = columns[-1][:2]
+    for d_lo, d_hi, s, o in (col[:, :, None] for col in reversed(columns[:-1])):
+        lo = np.maximum(d_lo, (lo + o) / s).ravel()
+        hi = np.minimum(d_hi, (hi + o) / s).ravel()
+        if not (lo < hi).all():
+            raise InvariantViolationError(
+                f"empty cylinder preimage for {word!r}")
+    return lo, hi
 
 
 def cylinder_preimage_interval(spec: CylinderSpec, ctx: AlgebraicBeta):
     """Interval of switch-region points whose coding starts with the spec.
 
-    Composes inverse branches from the back: J = D_1 & L_1^-1(D_2 & ...).
     All branches are affine and increasing, so the result is an interval;
     it is never empty for valid letters (the coding is onto the full shift).
     """
-    for t in spec.rts:
-        if t > ctx.n:
-            raise ValueError(f"return time {t} exceeds n={ctx.n}")
-    branches = _branches(ctx)
-    lo, hi, _, _ = branches[spec.coins[-1], spec.rts[-1]]
-    for coin, t in zip(reversed(spec.coins[:-1]), reversed(spec.rts[:-1])):
-        d_lo, d_hi, s, o = branches[coin, t]
-        lo, hi = max(d_lo, (lo + o) / s), min(d_hi, (hi + o) / s)
-        if not lo < hi:
-            raise InvariantViolationError(
-                f"empty cylinder preimage for {spec!r}")
-    return lo, hi
+    if max(spec.rts, default=2) > ctx.n:
+        raise ValueError(f"return time {max(spec.rts)} exceeds n={ctx.n}")
+    lo, hi = _compose([_branches(ctx)[c][:, [t - 2]]
+                       for c, t in zip(spec.coins, spec.rts)], spec)
+    return float(lo[0]), float(hi[0])
+
+
+def cylinder_preimage_table(coins, ctx: AlgebraicBeta):
+    """Arrays lo, hi of cylinder_preimage_interval over the return-time
+    words of the coin word, ordered as itertools.product(range(2, n + 1),
+    repeat=len(coins))."""
+    if not coins or not set(coins) <= {0, 1}:
+        raise ValueError(f"coin word {coins!r} is not a nonempty 0/1 word")
+    return _compose([_branches(ctx)[c] for c in coins], tuple(coins))
 
 
 class PushforwardResult(NamedTuple):
@@ -159,11 +179,8 @@ def pushforward_check(spec: CylinderSpec, p: float, ctx: AlgebraicBeta,
     lo, hi = cylinder_preimage_interval(spec, ctx)
     mass = bernoulli_mass(spec.coins, p)
     lhs = mass * (hi - lo) / (ctx.b - ctx.a)
-    if law is None:
-        law = return_time_law(ctx)
-    rhs = mass
-    for t in spec.rts:
-        rhs *= law[t]
+    law = return_time_law(ctx) if law is None else law
+    rhs = math.prod((law[t] for t in spec.rts), start=mass)
     return PushforwardResult(lhs=lhs, rhs=rhs, deviation=abs(lhs - rhs))
 
 
@@ -234,18 +251,11 @@ def _product_rectangle(nu: InducedMeasureSpec, ctx: AlgebraicBeta,
     if not x_lo < x_hi:
         return 0.0
 
-    def coin_mass_from(depth: int) -> float:
-        m = 1.0
-        for pos, bit in coin_constraints.items():
-            if pos >= depth:
-                m *= p if bit else 1.0 - p
-        return m
-
     @functools.cache
     def letter_rows(forced, first: bool):
         # one column per letter, last letter first, as a stack pops them
         # (none when a constraint excludes them all)
-        kids = [branches[coin, t] + (p if coin else 1.0 - p, law[t])
+        kids = [(*branches[coin][:, t - 2], p if coin else 1.0 - p, law[t])
                 for coin, t in reversed(letters)
                 if (forced is None or coin == forced)
                 and not (first and t < min_first_rt)]
@@ -269,7 +279,8 @@ def _product_rectangle(nu: InducedMeasureSpec, ctx: AlgebraicBeta,
         cut = is_open & ~inside & ((weight <= tol) | (depth >= _MAX_DEPTH))
         split = is_open & ~inside & ~cut
         done = ~split
-        mass = coin_mass_from(depth)
+        mass = bernoulli_mass([bit for pos, bit in coin_constraints.items()
+                               if pos >= depth], p)
         value = np.where(inside, weight * mass,
                          np.where(cut, 0.5 * weight * mass, weight))
 
@@ -313,8 +324,7 @@ def rectangle_measure(nu: InducedMeasureSpec, coins, interval,
     lo, hi = interval
     if nu.kind == "lebesgue":
         return _lebesgue_rectangle(nu.p, coins, lo, hi, ctx)
-    constraints = {j: bit for j, bit in enumerate(coins)}
-    return _product_rectangle(nu, ctx, constraints, lo, hi)
+    return _product_rectangle(nu, ctx, dict(enumerate(coins)), lo, hi)
 
 
 def kac_lift(nu: InducedMeasureSpec, coins, interval,
@@ -337,10 +347,8 @@ def kac_lift(nu: InducedMeasureSpec, coins, interval,
     for k in range(1, ctx.n):
         scale = beta ** k
         for first_bit in (0, 1):
-            if first_bit == 1:
-                off = beta ** (k - 1)
-            else:
-                off = (beta ** (k - 1) - 1) / (beta - 1)
+            off = (beta ** (k - 1) if first_bit
+                   else (beta ** (k - 1) - 1) / (beta - 1))
             # preimage of the target interval under the excursion map
             x_lo = max(ctx.a, (lo + off) / scale)
             x_hi = min(ctx.b, (hi + off) / scale)
@@ -359,10 +367,8 @@ def kac_lift(nu: InducedMeasureSpec, coins, interval,
                 total += mass * (x_hi - x_lo) / (ctx.b - ctx.a)
             else:
                 # tau = first letter's return time: tau > k symbolically
-                constraints = {0: first_bit}
-                for j, bit in enumerate(coins):
-                    constraints[j + 1] = bit
-                total += _product_rectangle(nu, ctx, constraints,
+                total += _product_rectangle(nu, ctx,
+                                            dict(enumerate((first_bit, *coins))),
                                             x_lo, x_hi,
                                             min_first_rt=k + 1)
     return total / denom

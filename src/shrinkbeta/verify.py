@@ -9,13 +9,15 @@ sampled inputs come from fixed seeded streams.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass
+from functools import reduce
 from itertools import product
 
 import numpy as np
 
 from . import kernels, markov, measures, symbolic
-from .algebra import solve_beta, solve_lambda
+from .algebra import eval_word, solve_beta, solve_lambda
 from .dynamics import CoinStream, PointState, return_time
 from .gls import return_time_law, return_time_vector
 
@@ -92,11 +94,18 @@ def gls_suite(n_values=(3, 4, 5, 8, 12, 20), seed=_DEFAULT_SEED):
                          worst_img, 0.0, 1e-10))
         rows.append(_row("induced-orbit-time-match", n, "bits=0,1",
                          float(worst_rt), 0.0, 0.0))
-        # lazy = reflection of greedy through x -> domain_max - x
+        # lazy = reflection of greedy through x -> m - x, m = domain_max:
+        # S*x - O_l against m - (S*(m - x) - O_g), S = beta^t, equal for
+        # every beta as O_l = S*m - m - O_g. Roundings in units of u*S*m,
+        # u = eps/2: m - x times S (1); S*x, S*(m - x) (2); three results
+        # in [0, m], S > 1 (3); S and O_g < S*m, pows within an ulp (2 + 2);
+        # m = 1/(beta - 1) (1); O_l's pows (2) and additions, partial sums
+        # below S*m*m with m < 3.1 (3.1). In all 16.1 u = 8.05 eps.
         m = ctx.domain_max
+        tol = 8.05 * sys.float_info.epsilon * ctx.beta ** n * m
         refl = max(abs(lp.apply(float(x))[0]
                        - (m - gp.apply(m - float(x))[0])) for x in xs)
-        rows.append(_row("lazy-greedy-reflection", n, "", refl, 0.0, 1e-12))
+        rows.append(_row("lazy-greedy-reflection", n, "", refl, 0.0, tol))
         law = return_time_law(ctx)
         vec = return_time_vector(ctx)
         dev = max(abs(vec.pi[t] - law[t]) for t in law)
@@ -138,16 +147,14 @@ def symbolic_suite(n_values=(3, 4, 5), seed=_DEFAULT_SEED):
         cover_dev = 0.0
         count = 0
         for coins in product((0, 1), repeat=4):
-            lo_hi = []
-            for rts in product(range(2, n + 1), repeat=4):
-                spec = measures.CylinderSpec(coins=coins, rts=rts)
-                lo_hi.append(measures.cylinder_preimage_interval(spec, ctx))
-            count += len(lo_hi)
-            lo_hi.sort()
-            overlap = max(overlap,
-                          max((prev_hi - lo for (_, prev_hi), (lo, _)
-                               in zip(lo_hi, lo_hi[1:])), default=0.0))
-            cover = sum(hi - lo for lo, hi in lo_hi)
+            lo, hi = measures.cylinder_preimage_table(coins, ctx)
+            count += lo.size
+            # x-order, as every branch increases and coin 1's run t = n..2
+            # left to right, coin 0's t = 2..n; cumsum adds left to right
+            flip = tuple(slice(None, None, -1 if c else 1) for c in coins)
+            lo, hi = (v.reshape((n - 1,) * 4)[flip].ravel() for v in (lo, hi))
+            overlap = max(overlap, float((hi[:-1] - lo[1:]).max(initial=0.0)))
+            cover = float(np.cumsum(hi - lo)[-1])
             cover_dev = max(cover_dev, abs(cover - (ctx.b - ctx.a)))
         rows.append(_flag_row("depth4-cylinders-disjoint", n,
                               f"count={count} per-coin-word", overlap, 1e-12,
@@ -160,7 +167,6 @@ def symbolic_suite(n_values=(3, 4, 5), seed=_DEFAULT_SEED):
 
 
 def _boundary_worst(endpoint: str, ctx) -> float:
-    from .algebra import eval_word
     target = ctx.a if endpoint == "a" else ctx.b
     worst = -math.inf
     for counts in ((3, 0), (2, 1, 2), (1, 1, 1, 1), (0, 2, 4), (5,)):
@@ -170,14 +176,6 @@ def _boundary_worst(endpoint: str, ctx) -> float:
         value, tail = eval_word(digits, ctx.beta)
         worst = max(worst, abs(value - target) - tail)
     return worst
-
-
-def _all_words(n: int, depth: int):
-    letters = symbolic.alphabet(n)
-    words = [()]
-    for _ in range(depth):
-        words = [w + (letter,) for w in words for letter in letters]
-    return words
 
 
 def markov_suite(n_values=(3, 4, 5, 6, 8, 10), n_inequality=40,
@@ -246,16 +244,18 @@ def measures_suite(n_values=(3, 4), seed=_DEFAULT_SEED):
     for n in n_values:
         ctx = solve_beta(n)
         depth = 3 if n == 3 else 2
+        law = np.array(list(return_time_law(ctx).values()))
         worst = 0.0
         count = 0
-        for p in (0.5, 0.3):
-            for word in _all_words(n, depth):
-                spec = measures.CylinderSpec(
-                    coins=tuple(c for c, _ in word),
-                    rts=tuple(t for _, t in word))
-                worst = max(worst,
-                            measures.pushforward_check(spec, p, ctx).deviation)
-                count += 1
+        # pushforward_check on every word, one coin word's table at a time
+        for coins in product((0, 1), repeat=depth):
+            lo, hi = measures.cylinder_preimage_table(coins, ctx)
+            for p in (0.5, 0.3):
+                mass = measures.bernoulli_mass(coins, p)
+                lhs = mass * (hi - lo) / (ctx.b - ctx.a)
+                rhs = reduce(np.multiply.outer, [law] * depth, mass).ravel()
+                worst = max(worst, float(np.abs(lhs - rhs).max()))
+                count += lo.size
         rows.append(_row("coding-pushforward-product", n,
                          f"depth<={depth} words={count}", worst, 0.0, 1e-12))
         uniform = {t: 1.0 / (n - 1) for t in range(2, n + 1)}
@@ -322,24 +322,22 @@ def _pullback_worst(ctx, n, depth, p):
     end_dev = 0.0
     mass_dev = 0.0
     words = 0
-    for word in _all_words(n, depth):
-        coins = tuple(c for c, _ in word)
-        rts = tuple(t for _, t in word)
-        lo, hi = measures.cylinder_preimage_interval(
-            measures.CylinderSpec(coins=coins, rts=rts), ctx)
+    for coins in product((0, 1), repeat=depth):
+        lo, hi = measures.cylinder_preimage_table(coins, ctx)
+        # added over the letters (c, t) in order, as a scalar loop would
         pulled = 0.0
         for c in (0, 1):
-            for t in range(2, n + 1):
-                plo, phi = measures.cylinder_preimage_interval(
-                    measures.CylinderSpec(coins=(c,) + coins,
-                                          rts=(t,) + rts), ctx)
-                _, _, slope, offset = branches[c, t]
-                end_dev = max(end_dev,
-                              abs(slope * plo - offset - lo),
-                              abs(slope * phi - offset - hi))
-                pulled += (p if c else 1.0 - p) * (phi - plo)
-        mass_dev = max(mass_dev, abs(pulled - (hi - lo)) / width)
-        words += 1
+            plo, phi = (v.reshape(n - 1, -1) for v in
+                        measures.cylinder_preimage_table((c,) + coins, ctx))
+            _, _, slope, offset = branches[c][:, :, None]
+            end_dev = max(end_dev,
+                          float(np.abs(slope * plo - offset - lo).max()),
+                          float(np.abs(slope * phi - offset - hi).max()))
+            pulled = reduce(np.add, (p if c else 1.0 - p) * (phi - plo),
+                            pulled)
+        mass_dev = max(mass_dev,
+                       float((np.abs(pulled - (hi - lo)) / width).max()))
+        words += lo.size
     return end_dev, mass_dev, words
 
 

@@ -130,6 +130,15 @@ def test_seeded_stream_is_positionally_addressable():
     assert s2.peek() == bits[2]
 
 
+def test_advanced_moves_only_the_cursor():
+    for stream in (CoinStream.seeded(7), CoinStream.explicit([1, 0, 1])):
+        step_ = stream.advanced()
+        assert type(step_) is CoinStream
+        assert (step_.mode, step_.seed, step_.prefix, step_.cursor) == (
+            stream.mode, stream.seed, stream.prefix, stream.cursor + 1)
+        assert step_.advanced().peek() == stream.bit_at(2)
+
+
 def test_explicit_stream_validates_bits():
     with pytest.raises(ValueError):
         CoinStream.explicit([0, 2])

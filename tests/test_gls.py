@@ -1,9 +1,13 @@
 """Piecewise-linear expansion branches on the switch interval."""
 
 import math
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from shrinkbeta import verify
 from shrinkbeta.algebra import solve_beta
 from shrinkbeta.errors import InvariantViolationError
 from shrinkbeta.gls import (GlsPartition, greedy_breakpoints, lazy_breakpoints,
@@ -121,3 +125,23 @@ def test_corrupted_partition_rejected_on_apply():
                        return_times=gp.return_times)
     with pytest.raises(InvariantViolationError):
         bad.apply(1.5)
+
+
+def test_reflection_row_passes_at_seed_965():
+    # n = 20 deviated 1.52e-12 here, above the former fixed 1e-12
+    rows = [row for row in verify.gls_suite(n_values=(20,), seed=965)
+            if row.check == "lazy-greedy-reflection"]
+    assert rows[0].passed
+    assert 1e-12 < rows[0].deviation
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), n=st.integers(3, 21))
+def test_reflection_deviation_within_rounding_bound(seed, n):
+    ctx = solve_beta(n)
+    (row,) = [row for row in verify.gls_suite(n_values=(n,), seed=seed)
+              if row.check == "lazy-greedy-reflection"]
+    # the row's derived bound is 8.05 eps * beta^n * domain_max
+    scale = sys.float_info.epsilon * ctx.beta ** n * ctx.domain_max
+    assert row.passed
+    assert row.deviation <= 8.05 * scale

@@ -93,6 +93,17 @@ def test_inv_cd_closed_form_vs_direct():
             _inv_cd_direct(lam, n), rel=1e-12)
 
 
+def test_chain_cd_is_parry_center_cd():
+    # one computation of 1/(cd) behind the chain and the printed constants
+    for n in range(3, 54):
+        assert build_chain(n).cd == 1.0 / parry_center(n).inv_cd
+    with mpmath.workprec(120):
+        lam = solve_lambda(20, 100).lam
+        _, _, cd = eigen_closed_form(lam, 20)
+        assert isinstance(cd, mpmath.mpf)
+        assert cd == 1 / _inv_cd_direct(lam, 20)
+
+
 def test_parry_measure_frozen_n3():
     chain = build_chain(3)
     lam = chain.lam

@@ -310,7 +310,7 @@ def scalar_product_rectangle(nu, ctx, coin_constraints, x_lo, x_hi,
                 continue
             if depth == 0 and t < min_first_rt:
                 continue
-            d_lo, d_hi, s, o = branches[coin, t]
+            d_lo, d_hi, s, o = map(float, branches[coin][:, t - 2])
             c_lo = max(j_lo, (d_lo + o_acc) / s_acc)
             c_hi = min(j_hi, (d_hi + o_acc) / s_acc)
             if not c_lo < c_hi:
@@ -438,8 +438,8 @@ def pruned_targets(draw):
     n = draw(st.integers(3, 6))
     ctx = solve_beta(n)
     beta = ctx.beta
-    points = {v for lo, hi, _, _ in measures._branches(ctx).values()
-              for v in (lo, hi)}
+    points = {float(v) for rows in measures._branches(ctx).values()
+              for v in rows[:2].ravel()}
     for k in range(1, n):
         for off in (beta ** (k - 1), (beta ** (k - 1) - 1) / (beta - 1)):
             points.update(x for x in ((ctx.a + off) / beta ** k,
