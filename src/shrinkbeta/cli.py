@@ -235,9 +235,12 @@ def cmd_verify(args) -> int:
         lo, hi = n_range
         kwargs["n_values"] = tuple(range(lo, hi + 1))
     if args.corrupt_adjacency:
-        kwargs["corrupt_adjacency"] = True
         if args.suite == "all":
             args.suite = "markov"
+        if args.suite != "markov":
+            raise UsageError(f"--corrupt-adjacency needs --suite markov or "
+                             f"all, got {args.suite}")
+        kwargs["corrupt_adjacency"] = True
     rows = verify.run(args.suite, **kwargs)
     rows = sorted(rows, key=lambda r: (r.n, r.check, r.params))
     ok = all(r.passed for r in rows)
@@ -377,10 +380,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", choices=("gls", "symbolic", "markov",
                                        "measures", "all"), default="all")
-    p.add_argument("--n", type=_n_range, default=None,
-                   help="single n or range A..B for the suite")
-    p.add_argument("--n-range", type=_n_range, dest="n_range", default=None,
-                   help="range A..B (same as --n A..B)")
+    n_args = p.add_mutually_exclusive_group()
+    n_args.add_argument("--n", type=_n_range, default=None,
+                        help="single n or range A..B for the suite")
+    n_args.add_argument("--n-range", type=_n_range, dest="n_range",
+                        default=None, help="range A..B (same as --n A..B)")
     p.add_argument("--seed", type=int, default=verify._DEFAULT_SEED)
     p.add_argument("--format", choices=("csv", "json"), default="json")
     p.add_argument("--out", default=None)
@@ -389,8 +393,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("entropy", help="entropy-margin table over a range")
-    p.add_argument("--n", type=_int_ge3, default=None)
-    p.add_argument("--n-range", type=_n_range, dest="n_range", default=None)
+    n_args = p.add_mutually_exclusive_group()
+    n_args.add_argument("--n", type=_int_ge3, default=None)
+    n_args.add_argument("--n-range", type=_n_range, dest="n_range",
+                        default=None)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--samples", type=int, default=0,
                    help="if not 0, add empirical rates for n <= "

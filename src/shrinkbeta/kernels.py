@@ -1,31 +1,54 @@
-"""Input checks, error types and seeded samplers around the bulk loops.
+"""The bulk kernels, in numpy: first-return statistics over many points,
+the Markov chain sampler and the seeded samplers, with their input checks.
+`BACKEND` names the kernel in bulk `simulate` output.
 
-The loops themselves live in `_kernels_py`, which raises bare
-RuntimeError with a "kind:payload" message; this module checks inputs at
-the API boundary and turns those messages into the package's typed
-errors. `BACKEND` names the kernel in bulk `simulate` output.
+The invariant that keeps every output bit fixed is the per-point order of
+float operations: each point sees `x = beta*x - bit` for its coin, then
+`x = beta*x - 1.0` (above `b`) or `beta*x` (below `a`) once per round until
+it lands in `[a, b]`, exactly as the scalar `dynamics.step` does. How
+points are grouped into numpy calls does not change a result, only how
+fast it comes:
+
+* `induced_stats` draws the coins of a block of steps for all points in
+  one `_raw` call of about `_COIN_WORDS` words (word `j*steps + k` depends
+  only on the seed and that index). After each coin step it carries only
+  the points outside `[a, b]` through the rounds, as an ascending index
+  set that shrinks every round, and counts the points that leave per
+  round instead of keeping a return time per point. Rounds stay
+  synchronous over points while at least `_TAIL` are out and `n_cap` is
+  not passed, and check no guard: past `domain_max + guard`, `beta*x - 1`
+  moves away from its fixed point `domain_max`, and below `-guard`,
+  `beta*x` falls further, so an escaped point is still out when the
+  rounds end (a beta too small for `domain_max` skips the rounds). The
+  rest finish point by point in `_finish`, the one place that raises
+  `OrbitEscapeError` or `InvariantViolationError`; then a replay of the
+  step from its landing values raises the least (round, drift before
+  escape, index) of the points' first errors, which a round-by-round
+  check meets first: no excursion reads another.
+* `chain_sample` turns each uniform into its bin among the distinct
+  values of all cumulative rows with one `searchsorted`, then walks a
+  `(state, bin) -> next state` table over Python lists, `_CHAIN_CHUNK`
+  steps at a time. The next state is the number of row values at most
+  `u`, capped at `m - 1`; every row value is a bin edge, so that number is
+  the same for every `u` in one bin, and each table entry counts it at a
+  value from its bin. Rows must be non-decreasing, as checked on entry.
 """
 
 import numpy as np
 
-from . import _kernels_py
+from . import _bits
 from ._bits import _MASK, STREAM_CHAIN, STREAM_COIN, STREAM_START
+from .dynamics import _DRIFT_GUARD
 from .errors import InvariantViolationError, OrbitEscapeError
 
 BACKEND = "python"
 _MAX_STATES = np.iinfo(np.int8).max
-
-
-def _retype(exc: RuntimeError, ctx):
-    kind, _, payload = str(exc).partition(":")
-    if kind == "escape":
-        return OrbitEscapeError(float(payload), 0.0, ctx.domain_max,
-                                "bulk kernel")
-    if kind == "drift":
-        return InvariantViolationError(
-            f"return time exceeded n+1 = {ctx.n + 1} at x={payload} "
-            f"(bulk kernel)")
-    return exc
+_GOLDEN = np.uint64(_bits._GOLDEN)
+_MIX1 = np.uint64(_bits._MIX1)
+_MIX2 = np.uint64(_bits._MIX2)
+_COIN_WORDS = 16384   # coin words per `_raw` call: 16 steps of 1024 points
+_TAIL = 64            # fewer points than this finish a step point by point
+_CHAIN_CHUNK = 65536  # chain steps walked per uniform draw
 
 
 def _at_least(name, value, least):
@@ -36,25 +59,104 @@ def _at_least(name, value, least):
 def induced_stats(ctx, x0, steps: int, seed: int):
     """Bulk first-return statistics. Returns (hist, final_x, tau1_count);
     hist[t] counts returns at time t over all points and steps, of which
-    there must be one or more; starts must be finite and in [a, b]."""
+    there must be one or more; starts must be a 1-D array of finite
+    values in [a, b]."""
     _at_least("steps", steps, 1)
     x0 = np.ascontiguousarray(x0, dtype=np.float64)
+    if x0.ndim != 1:
+        raise ValueError(f"x0 must be 1-D, got shape {x0.shape}")
     _at_least("x0 size", x0.size, 1)
     outside = ~((x0 >= ctx.a) & (x0 <= ctx.b))  # NaN lies outside too
     if outside.any():
         raise ValueError(f"starts must be finite and in [a, b] = [{ctx.a!r},"
                          f" {ctx.b!r}], got {float(x0[outside][0])!r}")
-    try:
-        return _kernels_py.induced_stats(ctx.beta, ctx.a, ctx.b,
-                                         ctx.domain_max, ctx.n, x0,
-                                         int(steps), int(seed) & _MASK)
-    except RuntimeError as exc:
-        raise _retype(exc, ctx) from None
+    return _induced(ctx.beta, ctx.a, ctx.b, ctx.domain_max, ctx.n, x0,
+                    int(steps), int(seed) & _MASK)
+
+
+def _induced(beta, a, b, domain_max, n_cap, x0, steps, seed):
+    """Run `steps` first-return steps for every start in x0 (all inside the
+    switch interval), consuming one coin bit per step.
+
+    Point j consumes coin indices j*steps .. j*steps + steps - 1, so point
+    0 sees exactly the scalar stream for the same seed. Returns
+    (histogram of return times, final positions, count of exact returns at
+    time 1). A return time of n_cap + 1 is counted in hist[n_cap + 1];
+    return times above it mean drift and raise.
+    """
+    x = np.array(x0, dtype=np.float64, copy=True)
+    count = x.size
+    hist = [0] * (n_cap + 2)
+    low, high = -_DRIFT_GUARD, domain_max + _DRIFT_GUARD
+    offsets = np.arange(count, dtype=np.uint64) * np.uint64(steps)
+    block = max(1, _COIN_WORDS // max(count, 1))
+    outward = beta * low < low and beta * high - 1.0 > high
+    tail = _TAIL if outward else count + 1
+    for k0 in range(0, steps, block):
+        ks = np.arange(k0, min(k0 + block, steps), dtype=np.uint64)
+        z = _raw(seed, STREAM_COIN, ks[:, None] + offsets)
+        for bits in (z >> np.uint64(63)).astype(np.float64):
+            x = beta * x - bits
+            idx = ((x < a) | (x > b)).nonzero()[0]
+            hist[1] += count - idx.size
+            v = landed = x[idx]
+            rounds = 1
+            while idx.size >= tail and rounds <= n_cap:
+                v = beta * v - (v > b)
+                x[idx] = v
+                keep = ((v < a) | (v > b)).nonzero()[0]
+                hist[rounds + 1] += idx.size - keep.size
+                idx, v = idx[keep], v[keep]
+                rounds += 1
+            if idx.size:
+                try:
+                    x[idx] = _finish(beta, a, b, domain_max, n_cap, hist,
+                                     v.tolist(), rounds)
+                except (OrbitEscapeError, InvariantViolationError):
+                    _finish(beta, a, b, domain_max, n_cap, hist,
+                            landed.tolist(), 1)
+                    raise
+    return np.array(hist, dtype=np.int64), x, hist[1]
+
+
+def _finish(beta, a, b, domain_max, n_cap, hist, v, rounds):
+    """Run each of a few points from round `rounds` to its return, one
+    after the other; `v` holds their values in index order and comes back
+    holding their final values. Each point's first error is keyed by
+    (round, drift before escape, position), and the least key is raised:
+    the error a round-by-round check over all points would meet first."""
+    low, high = -_DRIFT_GUARD, domain_max + _DRIFT_GUARD
+    errors = []
+    for i, y in enumerate(v):
+        r = rounds
+        while r <= n_cap:
+            y = beta * y - 1.0 if y > b else beta * y
+            if y < a or y > b:
+                if y < low or y > high:
+                    errors.append((r, 1, i, y))
+                    break
+                r += 1
+            else:
+                hist[r + 1] += 1
+                v[i] = y
+                break
+        else:
+            errors.append((r, 0, i, y))
+    if errors:
+        _, escaped, _, y = min(errors)
+        if escaped:
+            raise OrbitEscapeError(y, 0.0, domain_max, "bulk kernel")
+        raise InvariantViolationError(
+            f"return time exceeded n+1 = {n_cap + 1} at x={y!r} "
+            f"(bulk kernel)")
+    return v
 
 
 def chain_sample(cum_rows, start_cum, steps: int, seed: int):
-    """Seeded Markov path from non-decreasing cumulative rows; int8
-    states, so at most 127 of them."""
+    """Seeded Markov path from non-decreasing cumulative rows: one uniform
+    for the start, one per transition; int8 states, so at most 127 of
+    them. Uses its own stream constant so chain paths never collide with
+    coin bits drawn from the same seed."""
     _at_least("steps", steps, 1)
     cum_rows = np.ascontiguousarray(cum_rows, dtype=np.float64)
     start_cum = np.ascontiguousarray(start_cum, dtype=np.float64)
@@ -69,14 +171,30 @@ def chain_sample(cum_rows, start_cum, steps: int, seed: int):
             and (np.diff(start_cum) >= 0).all()):
         raise ValueError("cum_rows and start_cum must be non-decreasing "
                          "cumulative laws")
-    return _kernels_py.chain_sample(cum_rows, start_cum, int(steps),
-                                    int(seed) & _MASK)
+    steps, seed = int(steps), int(seed) & _MASK
+    # sorted distinct values; np.unique would cost about 1.3 MB of RSS on
+    # its first call
+    edges = np.sort(cum_rows, axis=None)
+    edges = edges[np.append(True, edges[1:] != edges[:-1])]
+    reps = np.append(-np.inf, edges)  # a value inside every bin
+    table = np.minimum([np.searchsorted(row, reps, side="right")
+                        for row in cum_rows], m - 1).tolist()
+    u0 = _uniforms(seed, STREAM_CHAIN, 0, 1)[0]
+    state = min(int(np.searchsorted(start_cum, u0, side="right")), m - 1)
+    out = np.empty(steps, dtype=np.int8)
+    out[0] = state
+    for k0 in range(1, steps, _CHAIN_CHUNK):
+        u = _uniforms(seed, STREAM_CHAIN, k0, min(k0 + _CHAIN_CHUNK, steps))
+        bins = np.searchsorted(edges, u, side="right").tolist()
+        path = [state := table[state][i] for i in bins]
+        out[k0:k0 + len(path)] = np.frombuffer(bytes(path), dtype=np.int8)
+    return out
 
 
 def uniform_array(seed: int, count: int, stream: int = STREAM_CHAIN):
     """count uniforms in [0, 1) from the counter-based stream."""
     _at_least("count", count, 0)
-    return _kernels_py._uniforms(int(seed) & _MASK, stream, 0, count)
+    return _uniforms(int(seed) & _MASK, stream, 0, count)
 
 
 def uniform_starts(seed: int, count: int, lo: float, hi: float):
@@ -89,5 +207,24 @@ def coin_bits(seed: int, count: int):
     """First `count` coin bits of the scalar stream, vectorized."""
     _at_least("count", count, 0)
     idx = np.arange(count, dtype=np.uint64)
-    z = _kernels_py._raw(int(seed) & _MASK, STREAM_COIN, idx)
+    z = _raw(int(seed) & _MASK, STREAM_COIN, idx)
     return (z >> np.uint64(63)).astype(np.uint8)
+
+
+def _mix64(z):
+    z = (z ^ (z >> np.uint64(30))) * _MIX1
+    z = (z ^ (z >> np.uint64(27))) * _MIX2
+    return z ^ (z >> np.uint64(31))
+
+
+def _raw(seed, stream, index):
+    """Vectorized counter-based generator word, index may be an array."""
+    base = np.uint64(seed) ^ np.uint64(stream)
+    return _mix64(base + (index + np.uint64(1)) * _GOLDEN)
+
+
+def _uniforms(seed, stream, lo, hi):
+    """Uniforms in [0, 1) with 53 random mantissa bits, draws lo .. hi - 1
+    of a stream."""
+    z = _raw(seed, stream, np.arange(lo, hi, dtype=np.uint64))
+    return (z >> np.uint64(11)) * 2.0 ** -53

@@ -107,11 +107,24 @@ def test_n_below_three_is_usage_error():
     (["markov", "--n", "60"], "lambda_n in doubles supports n <= 53"),
     (["simulate", "--n", "78", "--samples", "2000"],
      "beta_n in doubles supports n <= 77"),
+    (["verify", "--suite", "gls", "--corrupt-adjacency"],
+     "--corrupt-adjacency needs --suite markov or all, got gls"),
+    (["verify", "--suite", "symbolic", "--corrupt-adjacency"],
+     "--corrupt-adjacency needs --suite markov or all, got symbolic"),
+    (["verify", "--suite", "measures", "--corrupt-adjacency"],
+     "--corrupt-adjacency needs --suite markov or all, got measures"),
+    (["verify", "--suite", "gls", "--n", "3", "--n-range", "4..5"],
+     "argument --n-range: not allowed with argument --n"),
+    (["entropy", "--n", "5", "--n-range", "3..4"],
+     "argument --n-range: not allowed with argument --n"),
 ], ids=["precision-50", "precision-abc", "entropy-precision-64", "points-0",
         "samples-0", "steps-negative", "parry-samples-2499",
         "parry-samples-negative", "entropy-samples-4899",
         "samples-below-default-points", "samples-below-points",
-        "constants-n-54", "markov-n-60", "simulate-n-78"])
+        "constants-n-54", "markov-n-60", "simulate-n-78",
+        "corrupt-adjacency-gls", "corrupt-adjacency-symbolic",
+        "corrupt-adjacency-measures", "verify-n-and-n-range",
+        "entropy-n-and-n-range"])
 def test_bad_precision_or_size_is_usage_error(argv, message, capsys):
     with pytest.raises(SystemExit) as err:
         main(argv)

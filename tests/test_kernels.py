@@ -1,5 +1,5 @@
 """Bulk kernels: reference parity, stream addressing, input checks and
-error retyping."""
+typed errors."""
 
 import math
 import re
@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shrinkbeta import _bits, _kernels_py, kernels, markov
+from shrinkbeta import _bits, dynamics, kernels, markov
 from shrinkbeta.algebra import solve_beta
 from shrinkbeta.dynamics import CoinStream, PointState, return_time
 from shrinkbeta.errors import InvariantViolationError, OrbitEscapeError
@@ -184,6 +184,15 @@ def test_induced_stats_rejects_no_starts():
         kernels.induced_stats(CTX, np.array([]), 3, 1)
 
 
+@pytest.mark.parametrize("shape", [(4, 1), (2, 2)])
+def test_induced_stats_rejects_starts_that_are_not_1d(shape):
+    # valid starts in a column would broadcast against the coin row
+    with pytest.raises(ValueError,
+                       match=rf"x0 must be 1-D, got shape \({shape[0]}, "
+                             rf"{shape[1]}\)"):
+        kernels.induced_stats(CTX, np.full(shape, 1.45), 3, 1)
+
+
 SAMPLERS = {
     "uniform_array": lambda count: kernels.uniform_array(1, count),
     "uniform_starts": lambda count: kernels.uniform_starts(1, count, 0, 1),
@@ -231,7 +240,7 @@ def reference_induced_stats(beta, a, b, domain_max, n_cap, x0, steps, seed):
     tau1 = 0
     offsets = np.arange(count, dtype=np.uint64) * np.uint64(steps)
     for k in range(steps):
-        z = _kernels_py._raw(seed, _bits.STREAM_COIN, offsets + np.uint64(k))
+        z = kernels._raw(seed, _bits.STREAM_COIN, offsets + np.uint64(k))
         bits = (z >> np.uint64(63)).astype(np.float64)
         x = beta * x - bits
         t = np.ones(count, dtype=np.int64)
@@ -241,13 +250,15 @@ def reference_induced_stats(beta, a, b, domain_max, n_cap, x0, steps, seed):
             rounds += 1
             if rounds > n_cap:
                 worst = float(x[int(np.argmax(out))])
-                raise RuntimeError(f"drift:{worst!r}")
+                raise InvariantViolationError(
+                    f"return time exceeded n+1 = {n_cap + 1} at x={worst!r} "
+                    f"(bulk kernel)")
             x = np.where(out, np.where(x > b, beta * x - 1.0, beta * x), x)
-            bad = ((x < -_kernels_py._GUARD)
-                   | (x > domain_max + _kernels_py._GUARD))
+            bad = ((x < -dynamics._DRIFT_GUARD)
+                   | (x > domain_max + dynamics._DRIFT_GUARD))
             if bad.any():
                 worst = float(x[int(np.argmax(bad))])
-                raise RuntimeError(f"escape:{worst!r}")
+                raise OrbitEscapeError(worst, 0.0, domain_max, "bulk kernel")
             t += out
             out = (x < a) | (x > b)
         hist += np.bincount(t, minlength=n_cap + 2)
@@ -259,7 +270,7 @@ def reference_chain_sample(cum_rows, start_cum, steps, seed):
     """The former sampler: one bisection of the current row per step."""
     m = len(start_cum)
     idx = np.arange(steps, dtype=np.uint64)
-    z = _kernels_py._raw(seed, _bits.STREAM_CHAIN, idx)
+    z = kernels._raw(seed, _bits.STREAM_CHAIN, idx)
     u = (z >> np.uint64(11)) * 2.0 ** -53
     rows = [list(row) for row in cum_rows]
     out = np.empty(steps, dtype=np.int8)
@@ -272,11 +283,12 @@ def reference_chain_sample(cum_rows, start_cum, steps, seed):
 
 
 def _outcome(fn, *args):
-    """A kernel's result with finals as float.hex, or its error message."""
+    """A kernel's result with finals as float.hex, or its error's class
+    name and message."""
     try:
         hist, xf, tau1 = fn(*args)
-    except RuntimeError as exc:
-        return "error", str(exc)
+    except (OrbitEscapeError, InvariantViolationError) as exc:
+        return type(exc).__name__, str(exc)
     assert type(tau1) is int
     return hist.tolist(), [v.hex() for v in xf.tolist()], tau1
 
@@ -295,10 +307,10 @@ def test_induced_stats_matches_reference(n, seed, points, steps, words,
     ctx = solve_beta(n)
     x0 = kernels.uniform_starts(seed, points, ctx.a, ctx.b)
     args = (ctx.beta, ctx.a, ctx.b, ctx.domain_max, ctx.n, x0, steps, seed)
-    with mock.patch.object(_kernels_py, "_COIN_WORDS", words), \
-            mock.patch.object(_kernels_py, "_TAIL", tail):
-        got = _outcome(_kernels_py.induced_stats, *args)
-    assert got[0] != "error"
+    with mock.patch.object(kernels, "_COIN_WORDS", words), \
+            mock.patch.object(kernels, "_TAIL", tail):
+        got = _outcome(kernels._induced, *args)
+    assert type(got[0]) is list
     assert got == _outcome(reference_induced_stats, *args)
 
 
@@ -308,7 +320,7 @@ def test_induced_stats_matches_reference_at_full_block(n):
     ctx = solve_beta(n)
     x0 = kernels.uniform_starts(n, 1024, ctx.a, ctx.b)
     args = (ctx.beta, ctx.a, ctx.b, ctx.domain_max, ctx.n, x0, 70, n)
-    assert _outcome(_kernels_py.induced_stats, *args) == \
+    assert _outcome(kernels._induced, *args) == \
         _outcome(reference_induced_stats, *args)
 
 
@@ -334,9 +346,9 @@ def faulty_inputs(draw):
 @settings(max_examples=60, deadline=None)
 @given(args=faulty_inputs(), **KERNEL_SIZES)
 def test_induced_stats_errors_match_reference(args, words, tail):
-    with mock.patch.object(_kernels_py, "_COIN_WORDS", words), \
-            mock.patch.object(_kernels_py, "_TAIL", tail):
-        got = _outcome(_kernels_py.induced_stats, *args)
+    with mock.patch.object(kernels, "_COIN_WORDS", words), \
+            mock.patch.object(kernels, "_TAIL", tail):
+        got = _outcome(kernels._induced, *args)
     assert got == _outcome(reference_induced_stats, *args)
 
 
@@ -354,26 +366,26 @@ def dyadic_inputs(draw):
 @settings(max_examples=60, deadline=None)
 @given(args=dyadic_inputs(), **KERNEL_SIZES)
 def test_induced_stats_boundary_hits_match_reference(args, words, tail):
-    with mock.patch.object(_kernels_py, "_COIN_WORDS", words), \
-            mock.patch.object(_kernels_py, "_TAIL", tail):
-        got = _outcome(_kernels_py.induced_stats, *args)
+    with mock.patch.object(kernels, "_COIN_WORDS", words), \
+            mock.patch.object(kernels, "_TAIL", tail):
+        got = _outcome(kernels._induced, *args)
     assert got == _outcome(reference_induced_stats, *args)
 
 
 def test_nan_start_beside_an_escape_matches_reference():
-    # the kernel itself, below the finite-start check of `kernels`
+    # the private loop, below the finite-start check of `induced_stats`
     args = (CTX.beta, CTX.a, CTX.b, CTX.domain_max, CTX.n,
             np.array([math.nan] * 20 + [CTX.domain_max + 2.0]), 3, 1)
-    got = _outcome(_kernels_py.induced_stats, *args)
-    assert got[0] == "error" and got[1].startswith("escape:")
+    got = _outcome(kernels._induced, *args)
+    assert got[0] == "OrbitEscapeError"
     assert got == _outcome(reference_induced_stats, *args)
 
 
 def test_fake_beta_drift_matches_reference():
     args = (1.1, CTX.a, CTX.b, CTX.domain_max, CTX.n,
             np.array([1.5, 1.2, 1.5]), 4, 1)
-    got = _outcome(_kernels_py.induced_stats, *args)
-    assert got[0] == "error" and got[1].startswith("drift:")
+    got = _outcome(kernels._induced, *args)
+    assert got[0] == "InvariantViolationError"
     assert got == _outcome(reference_induced_stats, *args)
 
 
@@ -388,33 +400,35 @@ def _landing_args(landing, n_cap, seed=3):
 def _escape_at(r, scale):
     """A landing below a that doubles past the guard band at round r:
     scale in (1, 2) sets the escape value, about -scale * guard."""
-    return -scale * _kernels_py._GUARD / 2 ** r
+    return -scale * dynamics._DRIFT_GUARD / 2 ** r
 
 
 # enough points returning at time 2 that the first round stays in numpy
 # at the default `_TAIL`; the bad points then finish on their own
-FILL = [0.125] * _kernels_py._TAIL
+FILL = [0.125] * kernels._TAIL
 ROUND_ORDER_CASES = {
     # the higher-index point escapes at round 4, the lower one at round 5
     "later-point-escapes-first": ([*FILL, _escape_at(5, 1.25), *FILL,
-                                   _escape_at(4, 1.5), *FILL], 12, "escape"),
+                                   _escape_at(4, 1.5), *FILL], 12,
+                                  OrbitEscapeError),
     # 0 doubles to 0 forever: a drift at round n + 1 = 7 before an
     # escape at round 3
     "drift-beside-earlier-escape": ([*FILL, 0.0, *FILL,
-                                     _escape_at(3, 1.5)], 6, "escape"),
+                                     _escape_at(3, 1.5)], 6,
+                                    OrbitEscapeError),
     # 1 and 0 are both fixed: two drifts, and the lower index names it
-    "two-drifts": ([*FILL, 1.0, *FILL, 0.0], 3, "drift"),
+    "two-drifts": ([*FILL, 1.0, *FILL, 0.0], 3, InvariantViolationError),
 }
 
 
-@pytest.mark.parametrize("tail", [_kernels_py._TAIL, 2, 10 ** 6])
+@pytest.mark.parametrize("tail", [kernels._TAIL, 2, 10 ** 6])
 @pytest.mark.parametrize("case", ROUND_ORDER_CASES)
 def test_errors_follow_round_order_not_point_order(case, tail):
-    landing, n_cap, kind = ROUND_ORDER_CASES[case]
+    landing, n_cap, error = ROUND_ORDER_CASES[case]
     args = _landing_args(landing, n_cap)
-    with mock.patch.object(_kernels_py, "_TAIL", tail):
-        got = _outcome(_kernels_py.induced_stats, *args)
-    assert got[0] == "error" and got[1].startswith(kind + ":")
+    with mock.patch.object(kernels, "_TAIL", tail):
+        got = _outcome(kernels._induced, *args)
+    assert got[0] == error.__name__
     assert got == _outcome(reference_induced_stats, *args)
 
 
@@ -429,10 +443,10 @@ def _bulk_shape_args(n_cap, seed=10):
 def _finish_calls(args):
     """The kernel's outcome, and (point count, first round) of each of its
     `_finish` calls."""
-    with mock.patch.object(_kernels_py, "_finish",
-                           wraps=_kernels_py._finish) as spy:
-        got = _outcome(_kernels_py.induced_stats, *args)
-    return got, [(len(c.args[7]), c.args[8]) for c in spy.call_args_list]
+    with mock.patch.object(kernels, "_finish",
+                           wraps=kernels._finish) as spy:
+        got = _outcome(kernels._induced, *args)
+    return got, [(len(c.args[6]), c.args[7]) for c in spy.call_args_list]
 
 
 def test_drift_at_the_round_cap_is_replayed():
@@ -440,8 +454,8 @@ def test_drift_at_the_round_cap_is_replayed():
     # synchronous rounds reach the cap and hand all of them on
     args = _bulk_shape_args(4)
     got, calls = _finish_calls(args)
-    assert got[0] == "error" and got[1].startswith("drift:")
-    assert calls[0][0] > _kernels_py._TAIL and calls[0][1] == 5
+    assert got[0] == "InvariantViolationError"
+    assert calls[0][0] > kernels._TAIL and calls[0][1] == 5
     assert len(calls) == 2 and calls[1][1] == 1
     assert got == _outcome(reference_induced_stats, *args)
 
@@ -453,7 +467,7 @@ def test_escape_at_round_one_beats_a_later_drift():
     args[5] = args[5].copy()
     args[5][1000] = args[3] + 1e-6
     got, calls = _finish_calls(args)
-    assert got[0] == "error" and got[1].startswith("escape:")
+    assert got[0] == "OrbitEscapeError"
     assert calls[0][1] == 5 and calls[1][1] == 1
     assert got == _outcome(reference_induced_stats, *args)
 
@@ -462,8 +476,8 @@ def test_drift_in_the_tail_is_replayed():
     # only points with return time 10 drift, too few for the rounds
     args = _bulk_shape_args(8)
     got, calls = _finish_calls(args)
-    assert got[0] == "error" and got[1].startswith("drift:")
-    assert calls[0][0] < _kernels_py._TAIL and calls[0][1] <= 8
+    assert got[0] == "InvariantViolationError"
+    assert calls[0][0] < kernels._TAIL and calls[0][1] <= 8
     assert calls[-1][1] == 1
     assert got == _outcome(reference_induced_stats, *args)
 
@@ -474,9 +488,9 @@ def test_escape_that_falls_back_matches_reference():
     # and comes back to [a, b] later in the step
     args = (1.2, CTX.a, CTX.b, CTX.domain_max, 40,
             np.array([1.5, 1.5, 1.5, 4.0]), 1, 1)
-    with mock.patch.object(_kernels_py, "_TAIL", 1):
-        got = _outcome(_kernels_py.induced_stats, *args)
-    assert got[0] == "error" and got[1].startswith("escape:")
+    with mock.patch.object(kernels, "_TAIL", 1):
+        got = _outcome(kernels._induced, *args)
+    assert got[0] == "OrbitEscapeError"
     assert got == _outcome(reference_induced_stats, *args)
 
 
@@ -513,7 +527,7 @@ def chain_inputs(draw):
 @settings(max_examples=60, deadline=None)
 @given(args=chain_inputs(), chunk=st.sampled_from([1, 3, 64, 65536]))
 def test_chain_sample_matches_reference(args, chunk):
-    with mock.patch.object(_kernels_py, "_CHAIN_CHUNK", chunk):
+    with mock.patch.object(kernels, "_CHAIN_CHUNK", chunk):
         path = kernels.chain_sample(*args)
     assert path.dtype == np.int8
     assert np.array_equal(path, reference_chain_sample(*args))
@@ -536,7 +550,7 @@ def test_parry_path_matches_reference_across_chunks(n):
     chain = markov.build_chain(n)
     cum_rows = np.cumsum(chain.P_trans, axis=1)
     start_cum = np.cumsum(chain.p)
-    steps = 2 * _kernels_py._CHAIN_CHUNK + 3
+    steps = 2 * kernels._CHAIN_CHUNK + 3
     assert np.array_equal(
         kernels.chain_sample(cum_rows, start_cum, steps, seed=n),
         reference_chain_sample(cum_rows, start_cum, steps, seed=n))
