@@ -16,14 +16,13 @@ from .errors import (DeletedPointError, InequalityViolationError,
                      InvariantViolationError, OrbitEscapeError,
                      PrecisionLimitError, ShrinkBetaError,
                      StreamExhaustedError)
-from .gls import (GlsPartition, ReturnTimeVector, greedy_breakpoints,
+from .gls import (GlsPartition, expected_return_time, greedy_breakpoints,
                   lazy_breakpoints, return_time_law, return_time_vector)
 from .markov import (MarkovChain, build_adjacency, build_chain,
                      build_partition, check_inequality, eigen_closed_form,
                      parry_center, parry_measure, sample_chain)
-from .measures import (CylinderSpec, InducedMeasureSpec, abramov_check,
-                       cylinder_preimage_interval, entropy_rate_estimate,
-                       integral_tau, kac_lift, pushforward_check)
+from .measures import (InducedMeasureSpec, abramov_check,
+                       entropy_rate_estimate, kac_lift)
 from .symbolic import (SymbolicWord, alphabet, boundary_expansions, decode,
                        encode, mme_entropy)
 
@@ -35,13 +34,13 @@ __all__ = [
     "ShrinkBetaError", "OrbitEscapeError", "StreamExhaustedError",
     "DeletedPointError", "InvariantViolationError", "InequalityViolationError",
     "PrecisionLimitError",
-    "GlsPartition", "ReturnTimeVector",
+    "GlsPartition", "expected_return_time",
     "greedy_breakpoints", "lazy_breakpoints", "return_time_law",
     "return_time_vector", "MarkovChain", "build_adjacency", "build_chain",
     "build_partition", "check_inequality", "eigen_closed_form",
-    "parry_center", "parry_measure", "sample_chain", "CylinderSpec",
-    "InducedMeasureSpec", "abramov_check", "cylinder_preimage_interval",
-    "entropy_rate_estimate", "integral_tau", "kac_lift", "pushforward_check",
+    "parry_center", "parry_measure", "sample_chain",
+    "InducedMeasureSpec", "abramov_check", "entropy_rate_estimate",
+    "kac_lift",
     "SymbolicWord", "alphabet", "boundary_expansions", "decode", "encode",
     "mme_entropy", "__version__",
 ]

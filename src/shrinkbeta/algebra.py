@@ -95,10 +95,14 @@ def arithmetic(precision: int | None):
     return mpmath.workprec(precision)
 
 
-def _check_args(n, precision, name: str, double_n_max: int) -> None:
-    # runs before the root cache: 3.0 and np.int64(3) hash like 3
+def _check_n(n) -> None:
     if not isinstance(n, int) or n < 3:
         raise ValueError(f"n must be an integer >= 3, got {n!r}")
+
+
+def _check_args(n, precision, name: str, double_n_max: int) -> None:
+    # runs before the root cache: 3.0 and np.int64(3) hash like 3
+    _check_n(n)
     if precision is None:
         if n > double_n_max:
             raise PrecisionLimitError(

@@ -22,14 +22,12 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from . import kernels, markov, measures, verify
 from .algebra import MIN_PRECISION, arithmetic, solve_beta
 from .dynamics import CoinStream, OrbitRow, PointState, orbit
 from .errors import (InvariantViolationError, PrecisionLimitError,
                      ShrinkBetaError)
-from .gls import return_time_law
+from .gls import expected_return_time, return_time_law
 from .symbolic import mme_entropy
 
 _LN2 = math.log(2.0)
@@ -90,8 +88,7 @@ def cmd_constants(args) -> int:
     ctx = solve_beta(args.n, bits)
     center = markov.parry_center(args.n, bits)
     with arithmetic(bits):
-        law = return_time_law(ctx)
-        expected_tau = sum(t * w for t, w in law.items())
+        expected_tau = expected_return_time(return_time_law(ctx))
     lam = float(center.lam)
     report = {
         "n": args.n,
@@ -200,6 +197,12 @@ def _check_chain_samples(samples: int, n: int) -> None:
                          f"got {samples}")
 
 
+def _sampled_rate(chain, samples: int, seed: int) -> float:
+    """Entropy-rate estimate from a seeded sample path of the chain."""
+    path = markov.sample_chain(chain, samples, seed)
+    return measures.entropy_rate_estimate(path, 2, alphabet_size=len(chain.p))
+
+
 def cmd_parry(args) -> int:
     _check_chain_samples(args.samples, args.n)
     chain = markov.parry_chain(args.n)
@@ -213,9 +216,7 @@ def cmd_parry(args) -> int:
         "log_lambda": _scale(math.log(chain.lam), args.log_base),
     }
     if args.samples > 0:
-        path = markov.sample_chain(chain, args.samples, args.seed)
-        est = measures.entropy_rate_estimate(np.asarray(path), 2,
-                                             alphabet_size=len(chain.p))
+        est = _sampled_rate(chain, args.samples, args.seed)
         report["empirical_rate"] = _scale(est, args.log_base)
         report["empirical_deviation"] = abs(_scale(est - h, args.log_base))
     if args.format == "json":
@@ -277,10 +278,8 @@ def cmd_entropy(args) -> int:
             "margin": _scale(r.margin, args.log_base),
         }
         if args.samples > 0 and r.n <= _SAMPLED_N_MAX:
-            chain = markov.parry_chain(r.n)
-            path = markov.sample_chain(chain, args.samples, args.seed)
-            est = measures.entropy_rate_estimate(np.asarray(path), 2,
-                                                 alphabet_size=len(chain.p))
+            est = _sampled_rate(markov.parry_chain(r.n), args.samples,
+                                args.seed)
             entry["empirical_rate"] = _scale(est, args.log_base)
         out_rows.append(entry)
     if args.format == "json":
@@ -419,8 +418,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (UsageError, PrecisionLimitError) as exc:
+    except UsageError as exc:
         parser.error(f"{args.command}: {exc}")
+    except PrecisionLimitError as exc:
+        # the roots' refusal names the supported n, then after a ';' their
+        # precision parameter, which only commands with --precision can set
+        message = str(exc) if "precision" in args else str(exc).split(";")[0]
+        parser.error(f"{args.command}: {message}")
     except ShrinkBetaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -144,6 +144,16 @@ def return_time(state: PointState, ctx: AlgebraicBeta) -> ReturnTimeResult:
                 f"return time exceeded n+1 = {ctx.n + 1} from x={state.x!r}")
 
 
+def _undeleted_bit(state: PointState, ctx: AlgebraicBeta) -> int:
+    """The coin bit the next step from a switch-region point consumes;
+    DeletedPointError for the return-time-1 points (see induced_step)."""
+    bit = state.omega.peek()
+    if (state.x == ctx.a and bit == 0) or (state.x == ctx.b and bit == 1):
+        raise DeletedPointError(
+            f"return time 1 at x={state.x!r} with coin bit {bit}")
+    return bit
+
+
 def induced_step(state: PointState, ctx: AlgebraicBeta) -> PointState:
     """The first-return map: iterate until the orbit re-enters [a, b].
 
@@ -153,10 +163,7 @@ def induced_step(state: PointState, ctx: AlgebraicBeta) -> PointState:
     """
     if not (ctx.a <= state.x <= ctx.b):
         raise ValueError(f"induced_step needs x in [a, b], got {state.x!r}")
-    bit = state.omega.peek()
-    if (state.x == ctx.a and bit == 0) or (state.x == ctx.b and bit == 1):
-        raise DeletedPointError(
-            f"return time 1 at x={state.x!r} with coin bit {bit}")
+    bit = _undeleted_bit(state, ctx)
     res = return_time(state, ctx)
     if res.t == 1:
         raise DeletedPointError(

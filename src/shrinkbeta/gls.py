@@ -65,18 +65,6 @@ class GlsPartition:
         return tuple(bp[i + 1] - bp[i] for i in range(len(bp) - 1))
 
 
-@dataclass(frozen=True)
-class ReturnTimeVector:
-    """Probability law of the first return time, from branch geometry."""
-
-    n: int
-    pi: dict  # t in {2..n} -> probability
-
-    @property
-    def expected_tau(self) -> float:
-        return sum(t * w for t, w in self.pi.items())
-
-
 def _check_increasing(points, side):
     for x0, x1 in zip(points, points[1:]):
         if not x0 < x1:
@@ -133,8 +121,9 @@ def lazy_breakpoints(ctx: AlgebraicBeta) -> GlsPartition:
                         return_times=rts)
 
 
-def return_time_vector(ctx: AlgebraicBeta) -> ReturnTimeVector:
-    """Return-time law from greedy branch lengths: pi_t = |branch_t|/(b-a).
+def return_time_vector(ctx: AlgebraicBeta) -> dict:
+    """Return-time law {t: pi_t} from greedy branch lengths, pi_t =
+    |branch_t|/(b-a), keyed t = n..2 in branch order.
 
     Equals beta^(-t) up to rounding; the total is 1 because
     sum_{t=2..n} beta^(-t) = 1 is the defining equation of beta.
@@ -142,10 +131,15 @@ def return_time_vector(ctx: AlgebraicBeta) -> ReturnTimeVector:
     cs = _greedy_points(ctx)
     width = ctx.b - ctx.a
     # greedy branch i has return time n - i
-    pi = {ctx.n - i: (cs[i + 1] - cs[i]) / width for i in range(ctx.n - 1)}
-    return ReturnTimeVector(n=ctx.n, pi=pi)
+    return {ctx.n - i: (cs[i + 1] - cs[i]) / width for i in range(ctx.n - 1)}
 
 
 def return_time_law(ctx: AlgebraicBeta) -> dict:
     """Closed-form return-time law {t: beta^(-t)}, independent of geometry."""
     return {t: ctx.beta ** (-t) for t in range(2, ctx.n + 1)}
+
+
+def expected_return_time(law: dict):
+    """sum_t t pi_t of a return-time law {t: pi_t}, added in the law's key
+    order and in the arithmetic of its values."""
+    return sum(t * w for t, w in law.items())

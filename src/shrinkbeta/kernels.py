@@ -191,16 +191,19 @@ def chain_sample(cum_rows, start_cum, steps: int, seed: int):
     return out
 
 
-def uniform_array(seed: int, count: int, stream: int = STREAM_CHAIN):
-    """count uniforms in [0, 1) from the counter-based stream."""
+def uniform_array(seed: int, count: int):
+    """count uniforms in [0, 1), the draws `chain_sample` takes for the
+    same seed."""
     _at_least("count", count, 0)
-    return _uniforms(int(seed) & _MASK, stream, 0, count)
+    return _uniforms(int(seed) & _MASK, STREAM_CHAIN, 0, count)
 
 
 def uniform_starts(seed: int, count: int, lo: float, hi: float):
     """Seeded start points spread over [lo, hi], on a stream of their own
     so they never collide with the coin bits for the same seed."""
-    return lo + (hi - lo) * uniform_array(seed, count, STREAM_START)
+    _at_least("count", count, 0)
+    return lo + (hi - lo) * _uniforms(int(seed) & _MASK, STREAM_START, 0,
+                                      count)
 
 
 def coin_bits(seed: int, count: int):

@@ -30,13 +30,16 @@ from typing import NamedTuple
 import mpmath
 import numpy as np
 
-from .algebra import (AlgebraicBeta, PerronValue, arithmetic, solve_beta,
+from .algebra import (AlgebraicBeta, _check_n, arithmetic, solve_beta,
                       solve_lambda)
 from .errors import InequalityViolationError, InvariantViolationError
 
 _EIGEN_TOL = 1e-10
 _ROW_TOL = 1e-10
 _PARTITION_TOL = 1e-10
+_ALIGN_TOL = 1e-9  # image endpoints against cell boundaries
+_POWER_TOL = 1e-13  # relative change of lambda that stops power iteration
+_POWER_MAX_ITER = 20000
 # check_inequality's default: doubles carry the closed forms comfortably
 # this far; beyond, beta and lambda crowd their limits and mpmath at
 # EXTENDED_BITS takes over
@@ -110,8 +113,7 @@ def build_adjacency(n: int) -> np.ndarray:
     """Cell-to-cell reachability: left cells chain upward into the center,
     the center spreads to everything but itself, right cells chain downward
     into the center."""
-    if not isinstance(n, int) or n < 3:
-        raise ValueError(f"n must be an integer >= 3, got {n!r}")
+    _check_n(n)
     size = 2 * n - 1
     center = n - 1
     s = np.zeros((size, size), dtype=np.int64)
@@ -127,12 +129,12 @@ def build_adjacency(n: int) -> np.ndarray:
     return s
 
 
-def adjacency_from_images(ctx: AlgebraicBeta, tol: float = 1e-9) -> np.ndarray:
+def adjacency_from_images(ctx: AlgebraicBeta) -> np.ndarray:
     """Brute-force adjacency: push each cell through its active branch(es)
     and mark the cells its image covers.
 
     Also enforces the Markov property: every image interval must align with
-    cell boundaries to within tol.
+    cell boundaries to within _ALIGN_TOL.
     """
     cells = build_partition(ctx)
     beta, a, b = ctx.beta, ctx.a, ctx.b
@@ -141,12 +143,13 @@ def adjacency_from_images(ctx: AlgebraicBeta, tol: float = 1e-9) -> np.ndarray:
 
     def mark(i, lo, hi):
         covered = [j for j, c in enumerate(cells)
-                   if lo - tol <= 0.5 * (c.lo + c.hi) <= hi + tol]
+                   if lo - _ALIGN_TOL <= 0.5 * (c.lo + c.hi) <= hi + _ALIGN_TOL]
         if not covered:
             raise InvariantViolationError(f"image of cell {i} covers nothing")
         if covered != list(range(covered[0], covered[-1] + 1)):
             raise InvariantViolationError(f"image of cell {i} not contiguous")
-        if abs(cells[covered[0]].lo - lo) > tol or abs(cells[covered[-1]].hi - hi) > tol:
+        if (abs(cells[covered[0]].lo - lo) > _ALIGN_TOL
+                or abs(cells[covered[-1]].hi - hi) > _ALIGN_TOL):
             raise InvariantViolationError(
                 f"image of cell {i} does not align with cell boundaries")
         for j in covered:
@@ -218,8 +221,6 @@ def eigen_closed_form(lam, n: int):
     copies (the raw entries grow like lam^(n-1), so only a scale-free
     residual is meaningful in fixed precision).
     """
-    if isinstance(lam, PerronValue):
-        lam = lam.lam
     size = 2 * n - 1
     v = np.array([lam ** min(i, size - 1 - i) for i in range(size)])
     u_unit = np.empty(size, dtype=v.dtype)
@@ -387,18 +388,17 @@ def check_inequality(n_max: int, precision: int | None = None):
     return rows
 
 
-def perron_by_power_iteration(adjacency, max_iter: int = 20000,
-                              tol: float = 1e-13) -> float:
+def perron_by_power_iteration(adjacency) -> float:
     """Dominant eigenvalue by plain power iteration; cross-check oracle for
     the closed forms, never the source of truth."""
     s = np.asarray(adjacency, dtype=float)
     vec = np.ones(s.shape[0])
     lam_prev = 0.0
-    for _ in range(max_iter):
+    for _ in range(_POWER_MAX_ITER):
         nxt = s @ vec
         lam = nxt @ vec / (vec @ vec)
         vec = nxt / np.linalg.norm(nxt)
-        if abs(lam - lam_prev) < tol * max(1.0, abs(lam)):
+        if abs(lam - lam_prev) < _POWER_TOL * max(1.0, abs(lam)):
             return float(lam)
         lam_prev = lam
     return float(lam_prev)

@@ -34,7 +34,8 @@ import numpy as np
 
 from .algebra import AlgebraicBeta
 from .errors import InvariantViolationError
-from .gls import greedy_breakpoints, lazy_breakpoints, return_time_law
+from .gls import (expected_return_time, greedy_breakpoints, lazy_breakpoints,
+                  return_time_law)
 from .markov import parry_center
 
 _REFINE_TOL = 1e-14
@@ -47,25 +48,6 @@ _BLOCK_CHUNK = 65536
 # most terms cylinder_overlap evaluates at once (one prefix's tail may
 # exceed it and is then evaluated alone)
 _OVERLAP_CHUNK = 8192
-
-
-@dataclass(frozen=True)
-class CylinderSpec:
-    """Symbolic cylinder: coin prefix i_1..i_m and return-time prefix
-    n_1..n_m of equal length."""
-
-    coins: tuple
-    rts: tuple
-
-    def __post_init__(self):
-        if len(self.coins) != len(self.rts):
-            raise ValueError("coin and return-time prefixes differ in length")
-        for c in self.coins:
-            if c not in (0, 1):
-                raise ValueError(f"coin {c!r} not in {{0, 1}}")
-        for t in self.rts:
-            if not isinstance(t, int) or t < 2:
-                raise ValueError(f"return time {t!r} must be an int >= 2")
 
 
 @dataclass(frozen=True)
@@ -124,69 +106,28 @@ def _branches(ctx: AlgebraicBeta) -> dict:
     return table
 
 
-def _compose(columns, word):
-    """Arrays lo, hi of the starts whose coding takes a branch (column of
-    rows d_lo, d_hi, slope, offset) of each columns[k] in turn, ordered as
-    itertools.product over the columns. Composed from the back,
-    J = D_1 & L_1^-1(D_2 & ...), so each shared suffix is composed once."""
-    lo, hi = columns[-1][:2]
-    for d_lo, d_hi, s, o in (col[:, :, None] for col in reversed(columns[:-1])):
+def cylinder_preimage_table(coins, ctx: AlgebraicBeta):
+    """Arrays lo, hi of the switch-region points whose coding starts with
+    the coin word and a return-time word, ordered as
+    itertools.product(range(2, n + 1), repeat=len(coins)).
+
+    All branches are affine and increasing, so each entry is an interval;
+    none is empty for valid letters (the coding is onto the full shift).
+    Composed from the back, J = D_1 & L_1^-1(D_2 & ...), so each shared
+    suffix is composed once.
+    """
+    if not coins or not set(coins) <= {0, 1}:
+        raise ValueError(f"coin word {coins!r} is not a nonempty 0/1 word")
+    branches = _branches(ctx)
+    lo, hi = branches[coins[-1]][:2]
+    for coin in reversed(coins[:-1]):
+        d_lo, d_hi, s, o = branches[coin][:, :, None]
         lo = np.maximum(d_lo, (lo + o) / s).ravel()
         hi = np.minimum(d_hi, (hi + o) / s).ravel()
         if not (lo < hi).all():
             raise InvariantViolationError(
-                f"empty cylinder preimage for {word!r}")
+                f"empty cylinder preimage for {tuple(coins)!r}")
     return lo, hi
-
-
-def cylinder_preimage_interval(spec: CylinderSpec, ctx: AlgebraicBeta):
-    """Interval of switch-region points whose coding starts with the spec.
-
-    All branches are affine and increasing, so the result is an interval;
-    it is never empty for valid letters (the coding is onto the full shift).
-    """
-    if max(spec.rts, default=2) > ctx.n:
-        raise ValueError(f"return time {max(spec.rts)} exceeds n={ctx.n}")
-    lo, hi = _compose([_branches(ctx)[c][:, [t - 2]]
-                       for c, t in zip(spec.coins, spec.rts)], spec)
-    return float(lo[0]), float(hi[0])
-
-
-def cylinder_preimage_table(coins, ctx: AlgebraicBeta):
-    """Arrays lo, hi of cylinder_preimage_interval over the return-time
-    words of the coin word, ordered as itertools.product(range(2, n + 1),
-    repeat=len(coins))."""
-    if not coins or not set(coins) <= {0, 1}:
-        raise ValueError(f"coin word {coins!r} is not a nonempty 0/1 word")
-    return _compose([_branches(ctx)[c] for c in coins], tuple(coins))
-
-
-class PushforwardResult(NamedTuple):
-    lhs: float
-    rhs: float
-    deviation: float
-
-
-def pushforward_check(spec: CylinderSpec, p: float, ctx: AlgebraicBeta,
-                      law: dict = None) -> PushforwardResult:
-    """Compare the normalized Lebesgue mass of a symbolic cylinder's
-    preimage (lhs) with its product-measure value (rhs).
-
-    With the geometric law pi_t = beta^-t the two agree identically: the
-    coding carries Bernoulli(p) x Lebesgue onto Bernoulli(p) x pi^N. Any
-    other law (negative control) breaks the equality.
-    """
-    lo, hi = cylinder_preimage_interval(spec, ctx)
-    mass = bernoulli_mass(spec.coins, p)
-    lhs = mass * (hi - lo) / (ctx.b - ctx.a)
-    law = return_time_law(ctx) if law is None else law
-    rhs = math.prod((law[t] for t in spec.rts), start=mass)
-    return PushforwardResult(lhs=lhs, rhs=rhs, deviation=abs(lhs - rhs))
-
-
-def integral_tau(nu: InducedMeasureSpec, ctx: AlgebraicBeta) -> float:
-    """Expected return time under the measure's return-time law."""
-    return sum(t * w for t, w in nu.law(ctx).items())
 
 
 def _lebesgue_rectangle(p: float, coins, lo: float, hi: float,
@@ -342,7 +283,7 @@ def kac_lift(nu: InducedMeasureSpec, coins, interval,
     lo, hi = interval
     if not lo < hi:
         return 0.0
-    denom = integral_tau(nu, ctx)
+    denom = expected_return_time(nu.law(ctx))
     total = rectangle_measure(nu, coins, (lo, hi), ctx)  # k = 0 term
     for k in range(1, ctx.n):
         scale = beta ** k
@@ -522,6 +463,8 @@ def abramov_check(n: int, kind: str = "parry") -> AbramovResult:
 def block_entropy(sample, block_len: int, alphabet_size: int) -> float:
     """Shannon entropy (nats) of the empirical distribution of overlapping
     length-block_len blocks."""
+    if block_len < 1:
+        raise ValueError("block_len must be >= 1")
     sample = np.asarray(sample)
     count = sample.size - block_len + 1
     if count < 1:
@@ -544,6 +487,8 @@ def block_entropy(sample, block_len: int, alphabet_size: int) -> float:
 def _checked_sample(sample, block_len: int, alphabet_size):
     """The sample as an array and the alphabet size, after checking that
     every length-block_len block can appear about 100 times."""
+    if block_len < 1:
+        raise ValueError("block_len must be >= 1")
     sample = np.asarray(sample)
     if alphabet_size is None:
         alphabet_size = int(sample.max()) + 1 if sample.size else 0

@@ -15,8 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .algebra import AlgebraicBeta, eval_word
-from .dynamics import PointState, return_time
+from .algebra import AlgebraicBeta, _check_n, eval_word
+from .dynamics import PointState, _undeleted_bit, return_time
 from .errors import DeletedPointError, InvariantViolationError
 
 
@@ -62,15 +62,14 @@ def encode(state: PointState, k: int, ctx: AlgebraicBeta) -> SymbolicWord:
     not defined. So do float orbits that pass within rounding of it and
     come back after n + 1 steps, a return time no exact orbit has.
     """
+    if k < 0:
+        raise ValueError("k must be >= 0")
     if not (ctx.a <= state.x <= ctx.b):
         raise ValueError(f"encode needs x in [a, b], got {state.x!r}")
     letters = []
     cur = state
     for _ in range(k):
-        bit = cur.omega.peek()
-        if (cur.x == ctx.a and bit == 0) or (cur.x == ctx.b and bit == 1):
-            raise DeletedPointError(
-                f"return time 1 at x={cur.x!r} with coin bit {bit}")
+        bit = _undeleted_bit(cur, ctx)
         res = return_time(cur, ctx)
         if res.t == 1 or res.t > ctx.n or res.boundary_hit:
             raise DeletedPointError(
@@ -127,6 +126,5 @@ def boundary_expansions(endpoint: str, block_counts, ctx: AlgebraicBeta):
 def mme_entropy(n: int) -> float:
     """Entropy of the measure of maximal entropy of the full letter shift:
     log of the alphabet size 2(n-1), in nats."""
-    if not isinstance(n, int) or n < 3:
-        raise ValueError(f"n must be an integer >= 3, got {n!r}")
+    _check_n(n)
     return math.log(2 * (n - 1))

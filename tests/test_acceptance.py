@@ -22,8 +22,9 @@ from shrinkbeta.cli import main
 from shrinkbeta.dynamics import CoinStream, PointState, induced_step
 from shrinkbeta.gls import return_time_law
 from shrinkbeta.kernels import uniform_array, uniform_starts
-from shrinkbeta.measures import (CylinderSpec, abramov_check,
-                                 entropy_rate_estimate, pushforward_check)
+from shrinkbeta.measures import (abramov_check, bernoulli_mass,
+                                 cylinder_preimage_table,
+                                 entropy_rate_estimate)
 from shrinkbeta.symbolic import SymbolicWord, alphabet, decode, encode
 
 SEED = 20260814
@@ -98,13 +99,16 @@ def test_pushforward_is_product_measure_on_depth3_cylinders():
     start = time.perf_counter()
     for n in (3, 4):
         ctx = solve_beta(n)
+        law = return_time_law(ctx)
         for p in (0.3, 0.5):
             worst = 0.0
             for coins in product((0, 1), repeat=3):
-                for rts in product(range(2, n + 1), repeat=3):
-                    spec = CylinderSpec(coins=coins, rts=rts)
-                    res = pushforward_check(spec, p, ctx)
-                    worst = max(worst, res.deviation)
+                lo, hi = cylinder_preimage_table(coins, ctx)
+                mass = bernoulli_mass(coins, p)
+                for j, rts in enumerate(product(range(2, n + 1), repeat=3)):
+                    lhs = mass * (hi[j] - lo[j]) / (ctx.b - ctx.a)
+                    rhs = math.prod((law[t] for t in rts), start=mass)
+                    worst = max(worst, abs(lhs - rhs))
             assert worst <= 1e-12, f"n={n} p={p}: worst {worst:.3e}"
     assert time.perf_counter() - start < 5.0
 

@@ -12,9 +12,10 @@ from pathlib import Path
 
 import pytest
 
-from shrinkbeta import cli, kernels
+from shrinkbeta import cli, kernels, verify
 from shrinkbeta.algebra import solve_beta
 from shrinkbeta.cli import build_parser, main
+from shrinkbeta.errors import PrecisionLimitError
 
 LOG4 = math.log(4.0)
 
@@ -132,6 +133,62 @@ def test_bad_precision_or_size_is_usage_error(argv, message, capsys):
     err_text = capsys.readouterr().err
     assert message in err_text
     assert "Traceback" not in err_text
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["simulate", "--n", "78"],
+     "simulate: beta_n in doubles supports n <= 77, got n=78"),
+    (["markov", "--n", "54"],
+     "markov: lambda_n in doubles supports n <= 53, got n=54"),
+    (["parry", "--n", "54"],
+     "parry: lambda_n in doubles supports n <= 53, got n=54"),
+    (["verify", "--suite", "gls", "--n", "78"],
+     "verify: the gls suite in doubles supports n <= 21, got n=78"),
+    (["constants", "--n", "78"],
+     "constants: beta_n in doubles supports n <= 77, got n=78; pass "
+     "precision (>= 100 bits) for larger n"),
+], ids=["simulate", "markov", "parry", "verify", "constants"])
+def test_double_limit_names_only_options_the_command_has(argv, message,
+                                                         capsys):
+    # only constants and entropy take --precision
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: {message}\n")
+
+
+@pytest.mark.parametrize("suite,n,limit", [
+    ("gls", 22, 21), ("symbolic", 19, 18), ("markov", 28, 27),
+    ("markov", 32, 27), ("markov", 54, 27),
+])
+def test_verify_refuses_n_beyond_its_double_limit(suite, n, limit, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "--suite", suite, "--n", str(n)])
+    assert err.value.code == 2
+    err_text = capsys.readouterr().err
+    assert err_text.endswith(f"error: verify: the {suite} suite in doubles "
+                             f"supports n <= {limit}, got n={n}\n")
+
+
+@pytest.mark.parametrize("suite,n", [("gls", 21), ("symbolic", 18),
+                                     ("markov", 27)])
+def test_verify_runs_at_its_double_limit(suite, n, capsys):
+    rc, out = _run(capsys, ["verify", "--suite", suite, "--n", str(n)])
+    assert rc == 0
+    assert json.loads(out)["pass"] is True
+
+
+def test_verify_refuses_before_any_row_runs(monkeypatch):
+    ran = []
+    for name in verify.SUITES:
+        monkeypatch.setitem(verify.SUITES, name,
+                            lambda name=name, **kwargs: ran.append(name) or [])
+    # gls comes first in `all` and resolves n = 20; symbolic does not
+    with pytest.raises(PrecisionLimitError,
+                       match="the symbolic suite in doubles supports "
+                             "n <= 18, got n=20"):
+        verify.run("all", n_values=(3, 20))
+    assert ran == []
 
 
 def test_chain_sample_minimum_is_inclusive(capsys):
@@ -361,6 +418,19 @@ def test_verify_stdout_matches_recorded_digest(argv, capsys):
     rc, out = _run(capsys, argv)
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == want
+
+
+def test_benchmark_operations_match_recorded_digests(capsys):
+    # every operation of every perfbench workload at its default seed,
+    # against the stdout sha256 the benchmark checks it by
+    recorded = json.loads(DIGESTS.read_text())
+    changed = []
+    for workload, operations in recorded.items():
+        for command, want in operations.items():
+            rc, out = _run(capsys, shlex.split(command))
+            if (rc, hashlib.sha256(out.encode()).hexdigest()) != (0, want):
+                changed.append(f"{workload}: {command}")
+    assert changed == []
 
 
 ARTIFACT_DIGESTS = Path(__file__).with_name("artifact_digests.json")

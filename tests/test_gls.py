@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from shrinkbeta import verify
 from shrinkbeta.algebra import solve_beta
 from shrinkbeta.errors import InvariantViolationError
-from shrinkbeta.gls import (GlsPartition, greedy_breakpoints, lazy_breakpoints,
+from shrinkbeta.gls import (GlsPartition, expected_return_time,
+                            greedy_breakpoints, lazy_breakpoints,
                             return_time_law, return_time_vector)
 from shrinkbeta.kernels import uniform_starts
 
@@ -101,13 +102,15 @@ def test_branch_of_halfopen_conventions():
 
 
 def test_return_time_vector_matches_closed_form():
-    vec = return_time_vector(CTX3)
+    pi = return_time_vector(CTX3)
     law = return_time_law(CTX3)
-    assert set(vec.pi) == {2, 3} == set(law)
+    # keyed in branch order t = n..2, the closed form t = 2..n
+    assert list(pi) == [3, 2] and list(law) == [2, 3]
     for t in law:
-        assert vec.pi[t] == pytest.approx(law[t], abs=1e-12)
+        assert pi[t] == pytest.approx(law[t], abs=1e-12)
     assert sum(law.values()) == pytest.approx(1.0, abs=1e-12)
-    assert vec.expected_tau == pytest.approx(2.4301597090019467, abs=1e-12)
+    assert expected_return_time(pi) == pytest.approx(2.4301597090019467,
+                                                     abs=1e-12)
 
 
 def test_slope_reciprocals_sum_to_one():

@@ -12,34 +12,25 @@ from hypothesis import strategies as st
 
 from shrinkbeta import kernels, markov, measures, verify
 from shrinkbeta.algebra import solve_beta
-from shrinkbeta.gls import greedy_breakpoints, lazy_breakpoints, return_time_law
-from shrinkbeta.measures import (CylinderSpec, InducedMeasureSpec,
-                                 abramov_check, bernoulli_mass, block_entropy,
-                                 cylinder_overlap, cylinder_preimage_interval,
-                                 entropy_rate_estimate,
-                                 integral_tau, k_preimage_rectangles,
+from shrinkbeta.gls import (expected_return_time, greedy_breakpoints,
+                            lazy_breakpoints, return_time_law)
+from shrinkbeta.measures import (InducedMeasureSpec, abramov_check,
+                                 bernoulli_mass, block_entropy,
+                                 cylinder_overlap, cylinder_preimage_table,
+                                 entropy_rate_estimate, k_preimage_rectangles,
                                  kac_lift, lift_invariance_deviation,
-                                 pushforward_check, rectangle_measure)
+                                 rectangle_measure)
 
 CTX = solve_beta(3)
 LEB = InducedMeasureSpec(kind="lebesgue", p=0.5)
 UNI = InducedMeasureSpec(kind="product", p=0.5, pi=(0.5, 0.5))
 
 INTEGRAL_TAU3 = 2.4301597090019467      # 2*beta^-2 + 3*beta^-3
-SWITCH_MASS3 = 0.4114955886626458       # 1/integral_tau, Lebesgue lift
+SWITCH_MASS3 = 0.4114955886626458       # 1/INTEGRAL_TAU3, Lebesgue lift
 H_K3 = 0.570579666779284                # log lambda_3
 H_I3 = 1.3471974089195764
 MU_CENTER3 = 0.42353085227270193
 UNIFORM_LIFT_HK3 = 0.5545177444479562   # log(4) * (2/5)
-
-
-def test_cylinder_spec_validation():
-    with pytest.raises(ValueError):
-        CylinderSpec(coins=(1,), rts=(2, 3))
-    with pytest.raises(ValueError):
-        CylinderSpec(coins=(2,), rts=(2,))
-    with pytest.raises(ValueError):
-        CylinderSpec(coins=(1,), rts=(1,))
 
 
 def test_measure_spec_validation():
@@ -63,29 +54,44 @@ def test_bernoulli_mass():
 def test_single_letter_cylinders_are_branch_cells():
     gp = greedy_breakpoints(CTX)
     lp = lazy_breakpoints(CTX)
-    # coin 1 walks the greedy branch with that return time, coin 0 the lazy
-    assert cylinder_preimage_interval(
-        CylinderSpec(coins=(1,), rts=(2,)), CTX) == (gp.breakpoints[1], CTX.b)
-    assert cylinder_preimage_interval(
-        CylinderSpec(coins=(0,), rts=(2,)), CTX) == (CTX.a, lp.breakpoints[1])
+    # coin 1 walks the greedy branch with that return time, coin 0 the lazy;
+    # entry 0 of a one-letter table is return time 2
+    lo, hi = cylinder_preimage_table((1,), CTX)
+    assert (lo[0], hi[0]) == (gp.breakpoints[1], CTX.b)
+    lo, hi = cylinder_preimage_table((0,), CTX)
+    assert (lo[0], hi[0]) == (CTX.a, lp.breakpoints[1])
+
+
+def pushforward(coins, rts, p, ctx, law=None):
+    """The normalized Lebesgue mass of a symbolic cylinder's preimage, read
+    from its coin word's table, and its product-measure value. With the
+    geometric law pi_t = beta^-t the two agree: the coding carries
+    Bernoulli(p) x Lebesgue onto Bernoulli(p) x pi^N."""
+    lo, hi = cylinder_preimage_table(coins, ctx)
+    j = 0
+    for t in rts:  # the word's place in itertools.product order
+        j = j * (ctx.n - 1) + t - 2
+    mass = bernoulli_mass(coins, p)
+    law = return_time_law(ctx) if law is None else law
+    return (mass * (hi[j] - lo[j]) / (ctx.b - ctx.a),
+            math.prod((law[t] for t in rts), start=mass))
 
 
 def test_pushforward_exact_for_geometric_law():
     law = return_time_law(CTX)
     for coins, rts in [((1,), (2,)), ((0,), (3,)), ((1, 0), (3, 2)),
                        ((0, 0, 1), (2, 2, 3))]:
-        res = pushforward_check(CylinderSpec(coins=coins, rts=rts), 0.3, CTX)
+        lhs, rhs = pushforward(coins, rts, 0.3, CTX)
         expected = bernoulli_mass(coins, 0.3)
         for t in rts:
             expected *= law[t]
-        assert res.rhs == pytest.approx(expected, abs=1e-15)
-        assert res.deviation <= 1e-13
+        assert rhs == pytest.approx(expected, abs=1e-15)
+        assert abs(lhs - rhs) <= 1e-13
 
 
 def test_pushforward_negative_control():
-    res = pushforward_check(CylinderSpec(coins=(1, 0), rts=(2, 3)), 0.5, CTX,
-                            law={2: 0.5, 3: 0.5})
-    assert res.deviation > 1e-3
+    lhs, rhs = pushforward((1, 0), (2, 3), 0.5, CTX, law={2: 0.5, 3: 0.5})
+    assert abs(lhs - rhs) > 1e-3
 
 
 @st.composite
@@ -99,20 +105,22 @@ def pushforward_inputs(draw):
         budget -= t
         rts.append(t)
         coins.append(draw(st.integers(0, 1)))
-    spec = CylinderSpec(coins=tuple(coins), rts=tuple(rts))
-    return spec, draw(st.floats(0.01, 0.99)), solve_beta(n)
+    return (tuple(coins), tuple(rts), draw(st.floats(0.01, 0.99)),
+            solve_beta(n))
 
 
 @settings(max_examples=200, deadline=None)
 @given(args=pushforward_inputs())
 def test_pushforward_exact_property(args):
     # the tolerance of verify's coding-pushforward-product row
-    assert pushforward_check(*args).deviation <= 1e-12
+    lhs, rhs = pushforward(*args)
+    assert abs(lhs - rhs) <= 1e-12
 
 
 def test_integral_tau():
-    assert integral_tau(LEB, CTX) == pytest.approx(INTEGRAL_TAU3, abs=1e-14)
-    assert integral_tau(UNI, CTX) == pytest.approx(2.5, abs=1e-14)
+    assert expected_return_time(LEB.law(CTX)) == pytest.approx(INTEGRAL_TAU3,
+                                                               abs=1e-14)
+    assert expected_return_time(UNI.law(CTX)) == pytest.approx(2.5, abs=1e-14)
 
 
 def test_rectangle_measure_lebesgue():
@@ -134,8 +142,8 @@ def test_kac_lift_totals(nu, switch_mass, tol):
     assert kac_lift(nu, (), att, CTX) == pytest.approx(1.0, abs=tol)
     assert kac_lift(nu, (), (CTX.a, CTX.b), CTX) == pytest.approx(
         switch_mass, abs=tol)
-    assert kac_lift(nu, (), (CTX.a, CTX.b), CTX) * integral_tau(nu, CTX) == \
-        pytest.approx(1.0, abs=1e-12)
+    assert kac_lift(nu, (), (CTX.a, CTX.b), CTX) * expected_return_time(
+        nu.law(CTX)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_k_preimage_covers_and_lift_is_invariant():
@@ -237,6 +245,18 @@ def test_entropy_estimates_match_whole_sample_coding(n, chunk):
 def test_block_entropy_rejects_sample_shorter_than_block():
     with pytest.raises(ValueError, match="symbols"):
         block_entropy(np.zeros(2, dtype=np.int8), 3, 2)
+
+
+@pytest.mark.parametrize("estimate", [
+    lambda sample, block_len: entropy_rate_estimate(sample, block_len),
+    lambda sample, block_len: block_entropy(sample, block_len, 2),
+], ids=["entropy_rate_estimate", "block_entropy"])
+@pytest.mark.parametrize("block_len", [0, -1])
+def test_estimators_reject_block_len_below_one(estimate, block_len):
+    # before, these returned 0.0 and -0.0 for a valid sample
+    sample = np.tile([0, 1], 500)
+    with pytest.raises(ValueError, match="block_len must be >= 1"):
+        estimate(sample, block_len)
 
 
 def test_entropy_estimate_holds_no_full_length_int64():

@@ -1,6 +1,7 @@
-"""The word-interval tables behind verify's cylinder rows, against the
-per-word loops they replace."""
+"""The word-interval tables behind verify's cylinder rows, against a
+per-word composition on Python floats."""
 
+import math
 from itertools import product
 from unittest import mock
 
@@ -12,8 +13,8 @@ from hypothesis import strategies as st
 from shrinkbeta import measures, symbolic, verify
 from shrinkbeta.algebra import solve_beta
 from shrinkbeta.errors import InvariantViolationError
-from shrinkbeta.measures import (CylinderSpec, cylinder_preimage_interval,
-                                 cylinder_preimage_table, pushforward_check)
+from shrinkbeta.gls import return_time_law
+from shrinkbeta.measures import bernoulli_mass, cylinder_preimage_table
 
 
 def reference_preimage_interval(coins, rts, ctx):
@@ -35,7 +36,7 @@ def all_words(n, depth):
 
 
 def per_word_intervals(coins, n, ctx):
-    return [cylinder_preimage_interval(CylinderSpec(coins=coins, rts=rts), ctx)
+    return [reference_preimage_interval(coins, rts, ctx)
             for rts in product(range(2, n + 1), repeat=len(coins))]
 
 
@@ -67,13 +68,19 @@ def reference_depth4_rows(n, ctx, intervals):
 
 
 def reference_pushforward_worst(n, depth, ctx):
+    # |normalized Lebesgue mass - product-measure value| of each cylinder
+    law = return_time_law(ctx)
     worst = 0.0
     count = 0
     for p in (0.5, 0.3):
         for word in all_words(n, depth):
-            spec = CylinderSpec(coins=tuple(c for c, _ in word),
-                                rts=tuple(t for _, t in word))
-            worst = max(worst, pushforward_check(spec, p, ctx).deviation)
+            coins = tuple(c for c, _ in word)
+            rts = tuple(t for _, t in word)
+            lo, hi = reference_preimage_interval(coins, rts, ctx)
+            mass = bernoulli_mass(coins, p)
+            lhs = mass * (hi - lo) / (ctx.b - ctx.a)
+            rhs = math.prod((law[t] for t in rts), start=mass)
+            worst = max(worst, abs(lhs - rhs))
             count += 1
     return worst, count
 
@@ -87,13 +94,12 @@ def reference_pullback_worst(ctx, n, depth, p):
     for word in all_words(n, depth):
         coins = tuple(c for c, _ in word)
         rts = tuple(t for _, t in word)
-        lo, hi = cylinder_preimage_interval(
-            CylinderSpec(coins=coins, rts=rts), ctx)
+        lo, hi = reference_preimage_interval(coins, rts, ctx)
         pulled = 0.0
         for c in (0, 1):
             for t in range(2, n + 1):
-                plo, phi = cylinder_preimage_interval(
-                    CylinderSpec(coins=(c,) + coins, rts=(t,) + rts), ctx)
+                plo, phi = reference_preimage_interval((c,) + coins,
+                                                       (t,) + rts, ctx)
                 _, _, slope, offset = map(float, branches[c][:, t - 2])
                 end_dev = max(end_dev,
                               abs(slope * plo - offset - lo),
@@ -122,12 +128,8 @@ def test_table_entries_equal_scalar_preimages(args):
     words = list(product(range(2, n + 1), repeat=len(coins)))
     assert lo.shape == hi.shape == ((n - 1) ** len(coins),)
     for j, rts in enumerate(words):
-        scalar = cylinder_preimage_interval(
-            CylinderSpec(coins=coins, rts=rts), ctx)
         reference = reference_preimage_interval(coins, rts, ctx)
-        assert all(type(v) is float for v in scalar)
         assert ((lo[j].hex(), hi[j].hex())
-                == tuple(v.hex() for v in scalar)
                 == tuple(v.hex() for v in reference))
 
 
@@ -146,10 +148,9 @@ def test_table_raises_on_an_empty_entry():
     rows = np.array([[0.0, 0.0], [1.0, 1.0], [1.0, 1.0], [-5.0, -5.0]])
     with mock.patch.object(measures, "_branches",
                            return_value={0: rows, 1: rows}):
-        with pytest.raises(InvariantViolationError, match="empty cylinder"):
+        with pytest.raises(InvariantViolationError,
+                           match=r"empty cylinder preimage for \(0, 1\)"):
             cylinder_preimage_table((0, 1), ctx)
-        with pytest.raises(InvariantViolationError, match="empty cylinder"):
-            cylinder_preimage_interval(CylinderSpec((0, 1), (2, 3)), ctx)
 
 
 def test_branch_table_is_read_only_and_ordered_by_return_time():
@@ -199,9 +200,16 @@ def test_measures_suite_cylinder_rows_match_per_word_loops():
         worst, count = reference_pushforward_worst(n, depth, ctx)
         end_dev, mass_dev, words = reference_pullback_worst(ctx, n, depth,
                                                             p=0.3)
+        # the word (1, 2)(0, n) against the uniform law
+        lo, hi = reference_preimage_interval((1, 0), (2, n), ctx)
+        mass = bernoulli_mass((1, 0), 0.5)
+        lhs = mass * (hi - lo) / (ctx.b - ctx.a)
+        rhs = math.prod((1.0 / (n - 1), 1.0 / (n - 1)), start=mass)
         expected += [
             verify._row("coding-pushforward-product", n,
                         f"depth<={depth} words={count}", worst, 0.0, 1e-12),
+            verify._flag_row("pushforward-negative-control", n, "law=uniform",
+                             abs(lhs - rhs), 1e-3, want_above=True),
             verify._row("induced-cylinder-pullback", n,
                         f"words={words} letters={2 * (n - 1)}",
                         end_dev, 0.0, 1e-9),

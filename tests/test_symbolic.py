@@ -103,6 +103,14 @@ def test_encode_rejects_deleted_points():
         encode(PointState(CoinStream.explicit([1]), CTX.b), 1, CTX)
 
 
+def test_encode_rejects_negative_length():
+    # before, k < 0 gave an empty word
+    state = PointState(CoinStream.seeded(1), 0.5 * (CTX.a + CTX.b))
+    assert encode(state, 0, CTX).letters == ()
+    with pytest.raises(ValueError, match="k must be >= 0"):
+        encode(state, -1, CTX)
+
+
 def test_encode_rejects_return_time_above_n():
     # one ulp above a with coin 1: the float orbit follows a's own orbit,
     # which hits a after n steps, and rounds to just below it
