@@ -21,8 +21,7 @@ from .gls import (GlsPartition, expected_return_time, greedy_breakpoints,
 from .markov import (MarkovChain, build_adjacency, build_chain,
                      build_partition, check_inequality, eigen_closed_form,
                      parry_center, parry_measure, sample_chain)
-from .measures import (InducedMeasureSpec, abramov_check,
-                       entropy_rate_estimate, kac_lift)
+from .measures import InducedMeasureSpec, entropy_rate_estimate, kac_lift
 from .symbolic import (SymbolicWord, alphabet, boundary_expansions, decode,
                        encode, mme_entropy)
 
@@ -39,8 +38,7 @@ __all__ = [
     "return_time_vector", "MarkovChain", "build_adjacency", "build_chain",
     "build_partition", "check_inequality", "eigen_closed_form",
     "parry_center", "parry_measure", "sample_chain",
-    "InducedMeasureSpec", "abramov_check", "entropy_rate_estimate",
-    "kac_lift",
+    "InducedMeasureSpec", "entropy_rate_estimate", "kac_lift",
     "SymbolicWord", "alphabet", "boundary_expansions", "decode", "encode",
     "mme_entropy", "__version__",
 ]

@@ -140,7 +140,7 @@ def _bulk_simulate(args, ctx) -> str:
     steps = args.samples // points
     total = points * steps
     x0 = kernels.uniform_starts(args.seed, points, ctx.a, ctx.b)
-    hist, _, tau1 = kernels.induced_stats(ctx, x0, steps, args.seed)
+    hist, _ = kernels.induced_stats(ctx, x0, steps, args.seed)
     law = return_time_law(ctx)
     rows = []
     for t in range(2, ctx.n + 1):
@@ -154,7 +154,8 @@ def _bulk_simulate(args, ctx) -> str:
         report = {
             "n": ctx.n, "seed": args.seed, "points": points, "steps": steps,
             "samples": total, "backend": kernels.BACKEND,
-            "tau1_count": tau1, "out_of_range_count": int(hist[0] + hist[1] + hist[ctx.n + 1]),
+            "tau1_count": int(hist[1]),
+            "out_of_range_count": int(hist[0] + hist[1] + hist[ctx.n + 1]),
             "max_abs_z": max(abs(r[-1]) for r in rows),
             "histogram": [dict(zip(header, r)) for r in rows],
         }
@@ -397,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     n_args.add_argument("--n-range", type=_n_range, dest="n_range",
                         default=None)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--samples", type=int, default=0,
+    p.add_argument("--samples", type=_at_least(0), default=0,
                    help="if not 0, add empirical rates for n <= "
                         f"{_SAMPLED_N_MAX} (at least 100*(2n-1)^2 states)")
     p.add_argument("--precision", type=_precision, default="double")

@@ -90,7 +90,6 @@ class OrbitRow(NamedTuple):
 class ReturnTimeResult:
     t: int
     state: PointState
-    orbit: tuple  # (x, digit) after each of the t steps
     boundary_hit: bool  # some free step landed bitwise-exactly on a or b
 
 
@@ -117,7 +116,7 @@ def step(state: PointState, ctx: AlgebraicBeta):
 
 
 def return_time(state: PointState, ctx: AlgebraicBeta) -> ReturnTimeResult:
-    """First return time to the switch region, with the intermediate orbit.
+    """First return time to the switch region and the state it returns in.
 
     The start must lie in [a, b]. Returns the smallest t >= 1 with the t-th
     iterate back in [a, b] (t = 1 included: deletion of such points is the
@@ -127,18 +126,15 @@ def return_time(state: PointState, ctx: AlgebraicBeta) -> ReturnTimeResult:
     if not (ctx.a <= state.x <= ctx.b):
         raise ValueError(f"return_time needs x in [a, b], got {state.x!r}")
     cur = state
-    trace = []
     boundary = False
     t = 0
     while True:
-        cur, digit = step(cur, ctx)
+        cur, _ = step(cur, ctx)
         t += 1
-        trace.append((cur.x, digit))
         if t > 1 and (cur.x == ctx.a or cur.x == ctx.b):
             boundary = True  # free step hit an endpoint bitwise-exactly
         if ctx.a <= cur.x <= ctx.b:
-            return ReturnTimeResult(t=t, state=cur, orbit=tuple(trace),
-                                    boundary_hit=boundary)
+            return ReturnTimeResult(t=t, state=cur, boundary_hit=boundary)
         if t > ctx.n + 1:
             raise InvariantViolationError(
                 f"return time exceeded n+1 = {ctx.n + 1} from x={state.x!r}")

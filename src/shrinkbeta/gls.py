@@ -33,10 +33,8 @@ class GlsPartition:
     """
 
     side: str
-    n: int
     a: float
     b: float
-    domain_max: float
     breakpoints: tuple
     slopes: tuple
     offsets: tuple
@@ -92,9 +90,8 @@ def greedy_breakpoints(ctx: AlgebraicBeta) -> GlsPartition:
     slopes = tuple(beta ** (n - i) for i in range(n - 1))
     offsets = tuple(beta ** (n - i - 1) for i in range(n - 1))
     rts = tuple(n - i for i in range(n - 1))
-    return GlsPartition(side="greedy", n=n, a=a, b=b, domain_max=ctx.domain_max,
-                        breakpoints=tuple(cs), slopes=slopes, offsets=offsets,
-                        return_times=rts)
+    return GlsPartition(side="greedy", a=a, b=b, breakpoints=tuple(cs),
+                        slopes=slopes, offsets=offsets, return_times=rts)
 
 
 def lazy_breakpoints(ctx: AlgebraicBeta) -> GlsPartition:
@@ -116,9 +113,8 @@ def lazy_breakpoints(ctx: AlgebraicBeta) -> GlsPartition:
     slopes = tuple(beta ** (i + 2) for i in range(n - 1))
     offsets = tuple(sum(beta ** k for k in range(i + 1)) for i in range(n - 1))
     rts = tuple(i + 2 for i in range(n - 1))
-    return GlsPartition(side="lazy", n=n, a=a, b=b, domain_max=ctx.domain_max,
-                        breakpoints=tuple(ds), slopes=slopes, offsets=offsets,
-                        return_times=rts)
+    return GlsPartition(side="lazy", a=a, b=b, breakpoints=tuple(ds),
+                        slopes=slopes, offsets=offsets, return_times=rts)
 
 
 def return_time_vector(ctx: AlgebraicBeta) -> dict:

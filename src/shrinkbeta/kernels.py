@@ -57,8 +57,8 @@ def _at_least(name, value, least):
 
 
 def induced_stats(ctx, x0, steps: int, seed: int):
-    """Bulk first-return statistics. Returns (hist, final_x, tau1_count);
-    hist[t] counts returns at time t over all points and steps, of which
+    """Bulk first-return statistics. Returns (hist, final_x); hist[t]
+    counts returns at time t over all points and steps, of which
     there must be one or more; starts must be a 1-D array of finite
     values in [a, b]."""
     _at_least("steps", steps, 1)
@@ -80,9 +80,9 @@ def _induced(beta, a, b, domain_max, n_cap, x0, steps, seed):
 
     Point j consumes coin indices j*steps .. j*steps + steps - 1, so point
     0 sees exactly the scalar stream for the same seed. Returns
-    (histogram of return times, final positions, count of exact returns at
-    time 1). A return time of n_cap + 1 is counted in hist[n_cap + 1];
-    return times above it mean drift and raise.
+    (histogram of return times, final positions). A return time of
+    n_cap + 1 is counted in hist[n_cap + 1]; return times above it mean
+    drift and raise.
     """
     x = np.array(x0, dtype=np.float64, copy=True)
     count = x.size
@@ -116,7 +116,7 @@ def _induced(beta, a, b, domain_max, n_cap, x0, steps, seed):
                     _finish(beta, a, b, domain_max, n_cap, hist,
                             landed.tolist(), 1)
                     raise
-    return np.array(hist, dtype=np.int64), x, hist[1]
+    return np.array(hist, dtype=np.int64), x
 
 
 def _finish(beta, a, b, domain_max, n_cap, hist, v, rounds):
@@ -189,13 +189,6 @@ def chain_sample(cum_rows, start_cum, steps: int, seed: int):
         path = [state := table[state][i] for i in bins]
         out[k0:k0 + len(path)] = np.frombuffer(bytes(path), dtype=np.int8)
     return out
-
-
-def uniform_array(seed: int, count: int):
-    """count uniforms in [0, 1), the draws `chain_sample` takes for the
-    same seed."""
-    _at_least("count", count, 0)
-    return _uniforms(int(seed) & _MASK, STREAM_CHAIN, 0, count)
 
 
 def uniform_starts(seed: int, count: int, lo: float, hi: float):

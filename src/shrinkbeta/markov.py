@@ -230,28 +230,20 @@ def eigen_closed_form(lam, n: int):
     u_unit[n - 1] = lam
     cd = 1 / _inv_cd_direct(lam, n)
     u = cd * u_unit
-    res_v, res_u = _residuals(build_adjacency(n), lam, u, v)
+    res_v, res_u = eigen_residuals(build_adjacency(n), lam, u, v)
     if res_v > _EIGEN_TOL or res_u > _EIGEN_TOL:
         raise InvariantViolationError(
             f"eigen residuals too large: right {res_v:.3e}, left {res_u:.3e}")
     return u, v, cd
 
 
-def _residuals(s_mat, lam, u, v):
+def eigen_residuals(s_mat, lam, u, v):
     """Right and left residuals of (lam, u, v) against s_mat, each vector
     scaled to unit infinity norm first."""
     v_hat = v / np.abs(v).max()
     u_hat = u / np.abs(u).max()
     return (float(np.abs(s_mat @ v_hat - lam * v_hat).max()),
             float(np.abs(u_hat @ s_mat - lam * u_hat).max()))
-
-
-def eigen_residuals(n: int, adjacency=None):
-    """Scale-free residuals (right, left) of the closed-form eigenvectors."""
-    lam = solve_lambda(n).lam
-    u, v, _ = eigen_closed_form(lam, n)
-    s_mat = build_adjacency(n) if adjacency is None else adjacency
-    return _residuals(s_mat, lam, u, v)
 
 
 def parry_measure(adjacency, lam, u, v):

@@ -28,7 +28,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -36,7 +35,6 @@ from .algebra import AlgebraicBeta
 from .errors import InvariantViolationError
 from .gls import (expected_return_time, greedy_breakpoints, lazy_breakpoints,
                   return_time_law)
-from .markov import parry_center
 
 _REFINE_TOL = 1e-14
 _MAX_DEPTH = 200
@@ -68,12 +66,18 @@ class InducedMeasureSpec:
         if self.kind == "product":
             if self.pi is None:
                 raise ValueError("product kind needs a return-time law")
+            if not all(w >= 0 for w in self.pi):
+                raise ValueError(f"return-time law {self.pi!r} has a "
+                                 f"negative or NaN entry")
             if abs(sum(self.pi) - 1.0) > 1e-12:
                 raise ValueError(f"return-time law sums to {sum(self.pi)!r}")
 
     def law(self, ctx: AlgebraicBeta) -> dict:
         if self.kind == "lebesgue":
             return return_time_law(ctx)
+        if len(self.pi) != ctx.n - 1:
+            raise ValueError(f"return-time law has {len(self.pi)} entries, "
+                             f"n={ctx.n} needs {ctx.n - 1} (t = 2..n)")
         return {t + 2: w for t, w in enumerate(self.pi)}
 
 
@@ -146,17 +150,17 @@ def _add_in_order(total: float, values) -> float:
     return float(np.cumsum(np.concatenate(([total], values)))[-1])
 
 
-def _product_rectangle(nu: InducedMeasureSpec, ctx: AlgebraicBeta,
-                       coin_constraints: dict, x_lo: float, x_hi: float,
-                       min_first_rt: int = 2, tol: float = _REFINE_TOL) -> float:
-    """Product-kind measure of {coin constraints} x [x_lo, x_hi].
+def _product_rectangle(nu: InducedMeasureSpec, ctx: AlgebraicBeta, coins,
+                       x_lo: float, x_hi: float,
+                       min_first_rt: int = 2) -> float:
+    """Product-kind measure of {omega starts with coins} x [x_lo, x_hi].
 
     Walks the symbolic cylinder tree, keeping for each node the forward
     affine map F(x) = S*x - O of its letter prefix and the interval J of
     starts consistent with it. Nodes with J inside the target contribute
     fully; a node with J outside it contributes nothing and is dropped
     when it is built. Straddling nodes split until their weight drops
-    below tol, then contribute half their weight.
+    below _REFINE_TOL, then contribute half their weight.
 
     The tree is walked depth-first, one numpy frontier chunk at a time. A
     chunk is a run of the depth-first sequence: open nodes of one depth,
@@ -174,12 +178,12 @@ def _product_rectangle(nu: InducedMeasureSpec, ctx: AlgebraicBeta,
     Cost caveat: because the coin is an input, cylinders with different
     coins overlap in x, so a target endpoint interior to cylinders at every
     depth straddles one node per coin prefix. For such targets the node
-    count grows like tol^(-1/2) and the truncation error can reach the sum
-    of the cut weights, far above tol. Dropping dead children does not
-    change that growth: at n = 3 the target [(a + b)/2, b] under the
-    uniform law takes about 18 s on a 2-vCPU Xeon. Exact callers
-    therefore only pass targets that resolve at finite depth:
-    whole-interval targets, branch domains, or symbolic cylinder
+    count grows like _REFINE_TOL^(-1/2) and the truncation error can reach
+    the sum of the cut weights, far above _REFINE_TOL. Dropping dead
+    children does not change that growth: at n = 3 the target
+    [(a + b)/2, b] under the uniform law takes about 18 s on a 2-vCPU
+    Xeon. Exact callers therefore only pass targets that resolve at finite
+    depth: whole-interval targets, branch domains, or symbolic cylinder
     preimages.
     """
     branches = _branches(ctx)
@@ -217,16 +221,16 @@ def _product_rectangle(nu: InducedMeasureSpec, ctx: AlgebraicBeta,
         if depth == 0 and min_first_rt > 2:
             inside[:] = False
         # straddling leaf: its mass lies between 0 and weight
-        cut = is_open & ~inside & ((weight <= tol) | (depth >= _MAX_DEPTH))
+        cut = is_open & ~inside & ((weight <= _REFINE_TOL)
+                                   | (depth >= _MAX_DEPTH))
         split = is_open & ~inside & ~cut
         done = ~split
-        mass = bernoulli_mass([bit for pos, bit in coin_constraints.items()
-                               if pos >= depth], p)
+        mass = bernoulli_mass(coins[depth:], p)
         value = np.where(inside, weight * mass,
                          np.where(cut, 0.5 * weight * mass, weight))
 
         d_lo, d_hi, s, o, coin_p, law_t = letter_rows(
-            coin_constraints.get(depth), depth == 0)
+            coins[depth] if depth < len(coins) else None, depth == 0)
         split_rows = rows[:, split]
         lo, hi, s_acc, o_acc, _ = split_rows[:, :, None]
         # child starts satisfy F(x) in [d_lo, d_hi]; a child whose starts
@@ -258,16 +262,6 @@ def _product_rectangle(nu: InducedMeasureSpec, ctx: AlgebraicBeta,
     return total
 
 
-def rectangle_measure(nu: InducedMeasureSpec, coins, interval,
-                      ctx: AlgebraicBeta) -> float:
-    """nu-measure of the rectangle {omega starts with coins} x interval,
-    for intervals inside the switch region."""
-    lo, hi = interval
-    if nu.kind == "lebesgue":
-        return _lebesgue_rectangle(nu.p, coins, lo, hi, ctx)
-    return _product_rectangle(nu, ctx, dict(enumerate(coins)), lo, hi)
-
-
 def kac_lift(nu: InducedMeasureSpec, coins, interval,
              ctx: AlgebraicBeta) -> float:
     """Lifted invariant measure of a rectangle E = cylinder x interval.
@@ -284,7 +278,11 @@ def kac_lift(nu: InducedMeasureSpec, coins, interval,
     if not lo < hi:
         return 0.0
     denom = expected_return_time(nu.law(ctx))
-    total = rectangle_measure(nu, coins, (lo, hi), ctx)  # k = 0 term
+    # k = 0 term
+    if nu.kind == "lebesgue":
+        total = _lebesgue_rectangle(nu.p, coins, lo, hi, ctx)
+    else:
+        total = _product_rectangle(nu, ctx, coins, lo, hi)
     for k in range(1, ctx.n):
         scale = beta ** k
         for first_bit in (0, 1):
@@ -301,17 +299,12 @@ def kac_lift(nu: InducedMeasureSpec, coins, interval,
                     x_hi = min(x_hi, (ctx.a + off) / scale)
                 else:
                     x_lo = max(x_lo, (ctx.b + off) / scale)
-                if not x_lo < x_hi:
-                    continue
-                mass = (nu.p if first_bit else 1.0 - nu.p)
-                mass *= bernoulli_mass(coins, nu.p)
-                total += mass * (x_hi - x_lo) / (ctx.b - ctx.a)
+                total += _lebesgue_rectangle(nu.p, (first_bit, *coins),
+                                             x_lo, x_hi, ctx)
             else:
                 # tau = first letter's return time: tau > k symbolically
-                total += _product_rectangle(nu, ctx,
-                                            dict(enumerate((first_bit, *coins))),
-                                            x_lo, x_hi,
-                                            min_first_rt=k + 1)
+                total += _product_rectangle(nu, ctx, (first_bit, *coins),
+                                            x_lo, x_hi, min_first_rt=k + 1)
     return total / denom
 
 
@@ -427,37 +420,6 @@ def cylinder_overlap(law1, law2, depth: int) -> float:
         batch.append(prefix)
         terms += width
     return add_tails(total, batch)
-
-
-class AbramovResult(NamedTuple):
-    h_K: float
-    h_I: float
-    mu_center: float
-    deviation: float
-
-
-def abramov_check(n: int, kind: str = "parry") -> AbramovResult:
-    """Entropy bookkeeping h_K = h_I * mu(switch cell) for a lifted measure.
-
-    kind 'parry': h_I = log(lam)/(cd lam^n), mu_center = cd lam^n, and h_K
-    = log(lam) independently; the deviation checks the identity.
-    kind 'uniform': the maximal measure of the letter shift, lifted; here
-    h_K is *defined* through the formula (h_I = log(2n-2), mu_center =
-    2/(n+2) from the uniform return-time law), so the deviation is trivial
-    and the interesting fact is h_K staying below log(lam).
-    """
-    if kind == "parry":
-        center = parry_center(n)
-        h_k, h_i = math.log(center.lam), center.h_induced
-        return AbramovResult(h_K=h_k, h_I=h_i, mu_center=center.mu_center,
-                             deviation=abs(h_k - h_i * center.mu_center))
-    if kind == "uniform":
-        h_i = math.log(2 * n - 2)
-        mu_center = 2.0 / (n + 2)
-        h_k = h_i * mu_center
-        return AbramovResult(h_K=h_k, h_I=h_i, mu_center=mu_center,
-                             deviation=abs(h_k - h_i * mu_center))
-    raise ValueError(f"unknown measure kind {kind!r}")
 
 
 def block_entropy(sample, block_len: int, alphabet_size: int) -> float:

@@ -199,7 +199,9 @@ def markov_suite(n_values=(3, 4, 5, 6, 8, 10), corrupt_adjacency=False,
         det = float(np.linalg.det(2.0 * np.eye(2 * n - 1) - rule))
         rows.append(_row("det-2I-minus-S", n, "", det / 2.0 ** n, 1.0,
                          1e-9))
-        res_r, res_l = markov.eigen_residuals(n, adjacency=rule)
+        chain = markov.parry_chain(n)
+        res_r, res_l = markov.eigen_residuals(rule, chain.lam, chain.u,
+                                              chain.v)
         rows.append(_row("eigen-residual-right", n, "normalized",
                          res_r, 0.0, 1e-10))
         rows.append(_row("eigen-residual-left", n, "normalized",
@@ -209,7 +211,6 @@ def markov_suite(n_values=(3, 4, 5, 6, 8, 10), corrupt_adjacency=False,
         rows.append(_row("normalization-closed-form", n, "",
                          markov.closed_form_inv_cd(lam, n) / center.inv_cd,
                          1.0, 1e-12))
-        chain = markov.parry_chain(n)
         rows.append(_row("chain-entropy-is-log-lambda", n, "",
                          markov.entropy_rate(chain.p, chain.P_trans),
                          math.log(lam), 1e-10))
@@ -219,9 +220,10 @@ def markov_suite(n_values=(3, 4, 5, 6, 8, 10), corrupt_adjacency=False,
             total = _depth3_cylinder_total(chain)
             rows.append(_row("depth3-chain-cylinders-sum", n, "",
                              total, 1.0, 1e-10))
-        ab = measures.abramov_check(n, kind="parry")
+        # Abramov: h_K = h_I * mu(switch cell) for K's maximal measure
         rows.append(_row("entropy-lift-identity", n, "kind=parry",
-                         ab.deviation, 0.0, 1e-12))
+                         abs(math.log(lam) - center.h_induced
+                             * center.mu_center), 0.0, 1e-12))
     margins = [r.margin for r in markov.check_inequality(_N_INEQUALITY)]
     rows.append(_flag_row("entropy-margin-positive", _N_INEQUALITY,
                           f"n=3..{_N_INEQUALITY}", min(margins), 0.0,
@@ -295,9 +297,11 @@ def measures_suite(n_values=(3, 4), seed=_DEFAULT_SEED):
                                 seed + 13 * n)
         rows.append(_row("lift-invariance", n, "nu=lebesgue rects=40",
                          dev, 0.0, 1e-10))
-        ab_u = measures.abramov_check(n, kind="uniform")
+        # the uniform letter law's lift: h_I = log(2n-2), and the uniform
+        # return-time law gives the switch cell mu_center = 2/(n+2)
         rows.append(_flag_row("uniform-lift-below-max", n, "",
-                              math.log(solve_lambda(n).lam) - ab_u.h_K, 0.0,
+                              math.log(solve_lambda(n).lam)
+                              - math.log(2 * n - 2) * (2.0 / (n + 2)), 0.0,
                               want_above=True))
         # the overlap adds one term per letter-count vector, C(depth+n-2, n-2):
         # 321k for n = 4 at depth 800, but 86M for n = 5, so stop at n = 4
@@ -371,10 +375,10 @@ SUITES = {
 }
 
 
-# largest n each suite resolves in doubles. The measures suite has no
-# entry: its lift rows fail from n = 13 on in the adaptive product walk,
-# not at a precision limit
-_DOUBLE_N_MAX = {"gls": 21, "symbolic": 18, "markov": 27}
+# largest n each suite resolves in doubles. From n = 25 the measures
+# suite's depth-3 cylinder preimages fall below an ulp; its failures at
+# n = 13..24 are rows, not refusals
+_DOUBLE_N_MAX = {"gls": 21, "symbolic": 18, "markov": 27, "measures": 24}
 
 
 def run(suite: str = "all", **kwargs):

@@ -16,14 +16,13 @@ from itertools import product
 import numpy as np
 import pytest
 
-from shrinkbeta import kernels, markov
+from shrinkbeta import _bits, kernels, markov
 from shrinkbeta.algebra import solve_beta, solve_lambda
 from shrinkbeta.cli import main
 from shrinkbeta.dynamics import CoinStream, PointState, induced_step
 from shrinkbeta.gls import return_time_law
-from shrinkbeta.kernels import uniform_array, uniform_starts
-from shrinkbeta.measures import (abramov_check, bernoulli_mass,
-                                 cylinder_preimage_table,
+from shrinkbeta.kernels import uniform_starts
+from shrinkbeta.measures import (bernoulli_mass, cylinder_preimage_table,
                                  entropy_rate_estimate)
 from shrinkbeta.symbolic import SymbolicWord, alphabet, decode, encode
 
@@ -81,9 +80,9 @@ def test_bulk_return_times_follow_geometric_law():
     for n in (3, 4, 5):
         ctx = solve_beta(n)
         x0 = uniform_starts(SEED + n, 1000, ctx.a + 1e-9, ctx.b - 1e-9)
-        hist, final_x, tau1 = kernels.induced_stats(ctx, x0, 1000, SEED + n)
+        hist, final_x = kernels.induced_stats(ctx, x0, 1000, SEED + n)
         total = 1000 * 1000
-        assert tau1 == 0, f"n={n}: unexpected time-1 returns"
+        assert hist[1] == 0, f"n={n}: unexpected time-1 returns"
         assert hist[0] == hist[1] == hist[n + 1] == 0
         assert np.all(final_x >= ctx.a) and np.all(final_x <= ctx.b)
         for t in range(2, n + 1):
@@ -147,7 +146,9 @@ def test_adjacency_matches_interval_images():
 def test_eigendata_residuals_and_normalizer():
     start = time.perf_counter()
     for n in range(3, 31):
-        right, left = markov.eigen_residuals(n)
+        chain = markov.parry_chain(n)
+        right, left = markov.eigen_residuals(markov.build_adjacency(n),
+                                             chain.lam, chain.u, chain.v)
         assert right <= 1e-10, f"n={n}: right residual {right:.3e}"
         assert left <= 1e-10, f"n={n}: left residual {left:.3e}"
         lam = solve_lambda(n).lam
@@ -169,8 +170,10 @@ def test_chain_entropy_rate_equals_log_lambda():
 def test_abramov_and_kac_identities():
     start = time.perf_counter()
     for n in range(3, 31):
-        res = abramov_check(n, kind="parry")
-        assert res.deviation <= 1e-12, f"n={n}: abramov {res.deviation:.3e}"
+        parry = markov.parry_center(n)
+        abramov = abs(math.log(parry.lam)
+                      - parry.h_induced * parry.mu_center)
+        assert abramov <= 1e-12, f"n={n}: abramov {abramov:.3e}"
         chain = markov.build_chain(n)
         m = 2 * n - 1
         center = n - 1
@@ -211,8 +214,8 @@ def test_sampled_entropy_rates_match_theory():
     est = entropy_rate_estimate(np.asarray(path), 2, alphabet_size=5)
     target = math.log(chain.lam)
     assert abs(est - target) <= 0.02 * target, f"chain rate {est:.6f}"
-    letters = np.minimum((uniform_array(7, 1_000_000) * 4).astype(np.int64),
-                         3)
+    uniforms = kernels._uniforms(7, _bits.STREAM_CHAIN, 0, 1_000_000)
+    letters = np.minimum((uniforms * 4).astype(np.int64), 3)
     est_uniform = entropy_rate_estimate(letters, 2, alphabet_size=4)
     assert abs(est_uniform - math.log(4.0)) <= 0.01 * math.log(4.0), \
         f"uniform rate {est_uniform:.6f}"

@@ -1,9 +1,12 @@
-"""The in-place build step that the benchmark runs before every run."""
+"""Packaging: the in-place build step that the benchmark runs before
+every run, and the names the package exports."""
 
 import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+import shrinkbeta
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -20,3 +23,10 @@ def test_build_ext_inplace_builds_nothing(tmp_path):
     assert proc.returncode == 0, proc.stdout + proc.stderr
     built = [p for p in tmp_path.rglob("*") if p.suffix in (".so", ".c")]
     assert built == []
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in shrinkbeta.__all__
+               if not hasattr(shrinkbeta, name)]
+    assert missing == []
+    assert len(set(shrinkbeta.__all__)) == len(shrinkbeta.__all__)

@@ -100,6 +100,10 @@ def test_n_below_three_is_usage_error():
     (["parry", "--n", "3", "--samples", "2499"], ">= 2500 for n=3"),
     (["parry", "--n", "3", "--samples", "-1"], ">= 2500 for n=3"),
     (["entropy", "--n", "4", "--samples", "4899"], ">= 4900 for n=4"),
+    (["entropy", "--n", "4", "--samples", "-5"],
+     "argument --samples: must be >= 0, got -5"),
+    (["entropy", "--n-range", "10..12", "--samples", "-5"],
+     "argument --samples: must be >= 0, got -5"),
     (["simulate", "--n", "3", "--samples", "10"],
      "--samples must be >= --points (1024) in bulk mode, got 10"),
     (["simulate", "--samples", "63", "--points", "64"],
@@ -121,6 +125,7 @@ def test_n_below_three_is_usage_error():
 ], ids=["precision-50", "precision-abc", "entropy-precision-64", "points-0",
         "samples-0", "steps-negative", "parry-samples-2499",
         "parry-samples-negative", "entropy-samples-4899",
+        "entropy-samples-negative", "entropy-samples-negative-above-8",
         "samples-below-default-points", "samples-below-points",
         "constants-n-54", "markov-n-60", "simulate-n-78",
         "corrupt-adjacency-gls", "corrupt-adjacency-symbolic",
@@ -159,7 +164,8 @@ def test_double_limit_names_only_options_the_command_has(argv, message,
 
 @pytest.mark.parametrize("suite,n,limit", [
     ("gls", 22, 21), ("symbolic", 19, 18), ("markov", 28, 27),
-    ("markov", 32, 27), ("markov", 54, 27),
+    ("markov", 32, 27), ("markov", 54, 27), ("measures", 25, 24),
+    ("measures", 40, 24),
 ])
 def test_verify_refuses_n_beyond_its_double_limit(suite, n, limit, capsys):
     with pytest.raises(SystemExit) as err:
@@ -176,6 +182,15 @@ def test_verify_runs_at_its_double_limit(suite, n, capsys):
     rc, out = _run(capsys, ["verify", "--suite", suite, "--n", str(n)])
     assert rc == 0
     assert json.loads(out)["pass"] is True
+
+
+def test_verify_measures_reports_rows_at_its_double_limit(capsys):
+    # the measures suite's failures below its limit are rows, not refusals
+    rc, out = _run(capsys, ["verify", "--suite", "measures", "--n", "24"])
+    report = json.loads(out)
+    assert report["checks"] == len(report["rows"]) > 0
+    assert {row["n"] for row in report["rows"]} == {24}
+    assert rc == (0 if report["pass"] else 1)
 
 
 def test_verify_refuses_before_any_row_runs(monkeypatch):

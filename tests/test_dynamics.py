@@ -49,8 +49,10 @@ def test_induced_step_frozen(bit, expected):
 def test_return_time_orbit_trace():
     res = return_time(_state(1.40, [1]), CTX)
     # coin bit 1 sends 1.40 below a; two free doublings bring it back
-    assert [d for _, d in res.orbit] == [1, 0, 0]
-    assert len(res.orbit) == res.t == 3
+    rows = orbit(_state(1.40, [1]), res.t, CTX)
+    assert [row.digit for row in rows] == [1, 0, 0]
+    assert res.t == 3
+    assert rows[-1].x == res.state.x
     assert not res.boundary_hit
 
 

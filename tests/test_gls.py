@@ -121,9 +121,8 @@ def test_slope_reciprocals_sum_to_one():
 
 def test_corrupted_partition_rejected_on_apply():
     gp = greedy_breakpoints(CTX3)
-    bad = GlsPartition(side="greedy", n=gp.n, a=gp.a, b=gp.b,
-                       domain_max=gp.domain_max, breakpoints=gp.breakpoints,
-                       slopes=gp.slopes,
+    bad = GlsPartition(side="greedy", a=gp.a, b=gp.b,
+                       breakpoints=gp.breakpoints, slopes=gp.slopes,
                        offsets=tuple(o + 0.5 for o in gp.offsets),
                        return_times=gp.return_times)
     with pytest.raises(InvariantViolationError):

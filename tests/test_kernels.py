@@ -51,12 +51,17 @@ def uniform_at(seed, index, stream=_bits.STREAM_COIN):
     return (_bits.raw_at(seed, index, stream) >> 11) * 2.0 ** -53
 
 
+def uniform_array(seed, count):
+    """The first count uniforms `chain_sample` draws for seed."""
+    return kernels._uniforms(seed, _bits.STREAM_CHAIN, 0, count)
+
+
 def test_vectorized_streams_match_scalar():
     seed = 987654321
     bits = kernels.coin_bits(seed, 200)
     assert [int(b) for b in bits] == \
         [_bits.bit_at(seed, k) for k in range(200)]
-    uniforms = kernels.uniform_array(seed, 200)
+    uniforms = uniform_array(seed, 200)
     for k in (0, 1, 63, 199):
         assert float(uniforms[k]) == uniform_at(seed, k, _bits.STREAM_CHAIN)
     assert uniforms.min() >= 0.0 and uniforms.max() < 1.0
@@ -66,7 +71,7 @@ def test_streams_are_disjoint_per_seed():
     seed = 42
     coins = kernels.coin_bits(seed, 64)
     starts = kernels.uniform_starts(seed, 64, 0.0, 1.0)
-    chain = kernels.uniform_array(seed, 64)
+    chain = uniform_array(seed, 64)
     # same seed, three different tweaks: the raw words must differ
     raw_coin = _bits.raw_at(seed, 0, _bits.STREAM_COIN)
     raw_start = _bits.raw_at(seed, 0, _bits.STREAM_START)
@@ -86,7 +91,7 @@ def test_bulk_matches_scalar_orbit():
     seed = 555
     steps = 300
     x0 = np.array([1.45])
-    hist, xf, tau1 = kernels.induced_stats(CTX, x0, steps, seed)
+    hist, xf = kernels.induced_stats(CTX, x0, steps, seed)
     # scalar route: the same coin stream drives return_time step by step
     state = PointState(CoinStream.seeded(seed), 1.45)
     taus = []
@@ -97,14 +102,12 @@ def test_bulk_matches_scalar_orbit():
     expected_hist = np.bincount(taus, minlength=CTX.n + 2)
     assert np.array_equal(hist, expected_hist)
     assert xf[0] == state.x  # bitwise, multiply-then-subtract in both paths
-    assert tau1 == sum(1 for t in taus if t == 1)
 
 
 def test_bulk_histogram_support():
     ctx = solve_beta(4)
     x0 = kernels.uniform_starts(11, 256, ctx.a + 1e-9, ctx.b - 1e-9)
-    hist, xf, tau1 = kernels.induced_stats(ctx, x0, 200, 11)
-    assert tau1 == 0
+    hist, xf = kernels.induced_stats(ctx, x0, 200, 11)
     assert hist[0] == hist[1] == hist[ctx.n + 1] == 0
     assert hist.sum() == 256 * 200
     assert np.all(xf >= ctx.a) and np.all(xf <= ctx.b)
@@ -194,7 +197,6 @@ def test_induced_stats_rejects_starts_that_are_not_1d(shape):
 
 
 SAMPLERS = {
-    "uniform_array": lambda count: kernels.uniform_array(1, count),
     "uniform_starts": lambda count: kernels.uniform_starts(1, count, 0, 1),
     "coin_bits": lambda count: kernels.coin_bits(1, count),
 }
@@ -237,7 +239,6 @@ def reference_induced_stats(beta, a, b, domain_max, n_cap, x0, steps, seed):
     x = np.array(x0, dtype=np.float64, copy=True)
     count = x.size
     hist = np.zeros(n_cap + 2, dtype=np.int64)
-    tau1 = 0
     offsets = np.arange(count, dtype=np.uint64) * np.uint64(steps)
     for k in range(steps):
         z = kernels._raw(seed, _bits.STREAM_COIN, offsets + np.uint64(k))
@@ -262,8 +263,7 @@ def reference_induced_stats(beta, a, b, domain_max, n_cap, x0, steps, seed):
             t += out
             out = (x < a) | (x > b)
         hist += np.bincount(t, minlength=n_cap + 2)
-        tau1 += int((t == 1).sum())
-    return hist, x, tau1
+    return hist, x
 
 
 def reference_chain_sample(cum_rows, start_cum, steps, seed):
@@ -286,11 +286,10 @@ def _outcome(fn, *args):
     """A kernel's result with finals as float.hex, or its error's class
     name and message."""
     try:
-        hist, xf, tau1 = fn(*args)
+        hist, xf = fn(*args)
     except (OrbitEscapeError, InvariantViolationError) as exc:
         return type(exc).__name__, str(exc)
-    assert type(tau1) is int
-    return hist.tolist(), [v.hex() for v in xf.tolist()], tau1
+    return hist.tolist(), [v.hex() for v in xf.tolist()]
 
 
 # small blocks and tails cross block and tail boundaries at small sizes;
@@ -499,7 +498,7 @@ def chain_inputs(draw):
     m = draw(st.integers(1, 12))
     steps = draw(st.integers(1, 300))
     seed = draw(st.integers(0, 2 ** 64 - 1))
-    u = kernels.uniform_array(seed, steps)
+    u = uniform_array(seed, steps)
     entry = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
     rows = []
     for _ in range(m):
@@ -536,7 +535,7 @@ def test_chain_sample_matches_reference(args, chunk):
 def test_chain_sample_uniform_on_an_edge():
     # a uniform equal to a cumulative entry counts that entry as passed
     seed, steps = 5, 40
-    u = kernels.uniform_array(seed, steps)
+    u = uniform_array(seed, steps)
     start_cum = np.array([u[0], 1.0])
     cum_rows = np.array([[u[1], 1.0], [u[1], 1.0]])
     path = kernels.chain_sample(cum_rows, start_cum, steps, seed)

@@ -81,7 +81,7 @@ def test_eigen_closed_form_n3():
     u, v, cd = eigen_closed_form(lam, 3)
     assert cd == pytest.approx(CD3, abs=1e-15)
     assert np.allclose(v, [1.0, lam, lam ** 2, lam, 1.0], rtol=0, atol=1e-15)
-    res_r, res_l = eigen_residuals(3)
+    res_r, res_l = eigen_residuals(build_adjacency(3), lam, u, v)
     assert res_r <= 1e-10 and res_l <= 1e-10
     assert float(u @ v) == pytest.approx(1.0, abs=1e-14)
 

@@ -10,16 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shrinkbeta import kernels, markov, measures, verify
+from shrinkbeta import _bits, kernels, markov, measures, verify
 from shrinkbeta.algebra import solve_beta
 from shrinkbeta.gls import (expected_return_time, greedy_breakpoints,
                             lazy_breakpoints, return_time_law)
-from shrinkbeta.measures import (InducedMeasureSpec, abramov_check,
-                                 bernoulli_mass, block_entropy,
-                                 cylinder_overlap, cylinder_preimage_table,
+from shrinkbeta.measures import (InducedMeasureSpec, bernoulli_mass,
+                                 block_entropy, cylinder_overlap,
+                                 cylinder_preimage_table,
                                  entropy_rate_estimate, k_preimage_rectangles,
-                                 kac_lift, lift_invariance_deviation,
-                                 rectangle_measure)
+                                 kac_lift, lift_invariance_deviation)
 
 CTX = solve_beta(3)
 LEB = InducedMeasureSpec(kind="lebesgue", p=0.5)
@@ -44,6 +43,20 @@ def test_measure_spec_validation():
         InducedMeasureSpec(kind="product", p=0.5, pi=(0.7, 0.7))
     assert UNI.law(CTX) == {2: 0.5, 3: 0.5}
     assert LEB.law(CTX) == return_time_law(CTX)
+
+
+def test_product_kind_takes_only_laws_on_2_to_n():
+    for pi in ((1.5, -0.5), (math.nan, math.nan)):
+        with pytest.raises(ValueError, match="negative or NaN entry"):
+            InducedMeasureSpec(kind="product", p=0.5, pi=pi)
+    # n = 3 has return times 2 and 3: three entries or one are no law there
+    for pi in ((0.5, 0.25, 0.25), (1.0,)):
+        nu = InducedMeasureSpec(kind="product", p=0.5, pi=pi)
+        message = f"has {len(pi)} entries, n=3 needs 2"
+        with pytest.raises(ValueError, match=message):
+            nu.law(CTX)
+        with pytest.raises(ValueError, match=message):
+            kac_lift(nu, (), (CTX.a, CTX.b), CTX)
 
 
 def test_bernoulli_mass():
@@ -126,11 +139,13 @@ def test_integral_tau():
 def test_rectangle_measure_lebesgue():
     width = CTX.b - CTX.a
     mid = 0.5 * (CTX.a + CTX.b)
-    value = rectangle_measure(LEB, (1,), (CTX.a, mid), CTX)
+    value = measures._lebesgue_rectangle(0.5, (1,), CTX.a, mid, CTX)
     assert value == pytest.approx(0.5 * 0.5, abs=1e-14)
-    assert rectangle_measure(LEB, (), (CTX.a, CTX.b), CTX) == pytest.approx(1.0)
+    assert measures._lebesgue_rectangle(0.5, (), CTX.a, CTX.b,
+                                        CTX) == pytest.approx(1.0)
     # product kind resolves whole-cell targets exactly
-    assert rectangle_measure(UNI, (), (CTX.a, CTX.b), CTX) == pytest.approx(1.0)
+    assert measures._product_rectangle(UNI, CTX, (), CTX.a,
+                                       CTX.b) == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("nu,switch_mass,tol", [
@@ -161,18 +176,22 @@ def test_k_preimage_covers_and_lift_is_invariant():
 
 
 def test_abramov_identity_frozen():
-    res = abramov_check(3, kind="parry")
-    assert res.h_K == pytest.approx(H_K3, abs=1e-15)
-    assert res.h_I == pytest.approx(H_I3, abs=1e-14)
-    assert res.mu_center == pytest.approx(MU_CENTER3, abs=1e-14)
-    assert res.deviation <= 1e-13
-    uni = abramov_check(3, kind="uniform")
-    assert uni.h_I == math.log(4)
-    assert uni.mu_center == pytest.approx(0.4, abs=1e-15)
-    assert uni.h_K == pytest.approx(UNIFORM_LIFT_HK3, abs=1e-14)
-    assert uni.h_K < H_K3  # strictly below the maximal lift
-    with pytest.raises(ValueError):
-        abramov_check(3, kind="parabolic")
+    # h_K = h_I * mu(switch cell), from the switch cell's Parry numbers
+    center = markov.parry_center(3)
+    h_k = math.log(center.lam)
+    assert h_k == pytest.approx(H_K3, abs=1e-15)
+    assert center.h_induced == pytest.approx(H_I3, abs=1e-14)
+    assert center.mu_center == pytest.approx(MU_CENTER3, abs=1e-14)
+    assert abs(h_k - center.h_induced * center.mu_center) <= 1e-13
+    # the uniform letter law: h_I = log 4 times its lift's switch mass 2/5
+    uni_mu = kac_lift(UNI, (), (CTX.a, CTX.b), CTX)
+    assert uni_mu == pytest.approx(0.4, abs=1e-15)
+    assert math.log(4) * uni_mu == pytest.approx(UNIFORM_LIFT_HK3, abs=1e-14)
+    row, = [r for r in verify.measures_suite(n_values=(3,))
+            if r.check == "uniform-lift-below-max"]
+    # strictly below the maximal lift
+    assert row.lhs == pytest.approx(H_K3 - UNIFORM_LIFT_HK3, abs=1e-14)
+    assert row.passed
 
 
 def test_cylinder_overlap_basics():
@@ -276,7 +295,7 @@ def sample_return_times(law, count, seed):
     """Seeded iid sample from a return-time law, via inverse transform."""
     ts = sorted(law)
     cum = np.cumsum([law[t] for t in ts])
-    u = kernels.uniform_array(seed, count)
+    u = kernels._uniforms(seed, _bits.STREAM_CHAIN, 0, count)
     idx = np.minimum(np.searchsorted(cum, u, side="right"), len(ts) - 1)
     return np.asarray(ts, dtype=np.int64)[idx]
 
@@ -292,8 +311,7 @@ def test_sample_return_times_law():
         assert abs(freq - w) <= 4 * sigma
 
 
-def scalar_product_rectangle(nu, ctx, coin_constraints, x_lo, x_hi,
-                             min_first_rt=2, tol=measures._REFINE_TOL):
+def scalar_product_rectangle(nu, ctx, coins, x_lo, x_hi, min_first_rt=2):
     """Reference for measures._product_rectangle: the same tree walked one
     node at a time from a stack, adding each finished node to the total."""
     branches = measures._branches(ctx)
@@ -307,9 +325,8 @@ def scalar_product_rectangle(nu, ctx, coin_constraints, x_lo, x_hi,
 
     def coin_mass_from(depth):
         m = 1.0
-        for pos, bit in coin_constraints.items():
-            if pos >= depth:
-                m *= p if bit else 1.0 - p
+        for bit in coins[depth:]:
+            m *= p if bit else 1.0 - p
         return m
 
     total = 0.0
@@ -321,10 +338,10 @@ def scalar_product_rectangle(nu, ctx, coin_constraints, x_lo, x_hi,
         if x_lo <= j_lo and j_hi <= x_hi and not (depth == 0 and min_first_rt > 2):
             total += weight * coin_mass_from(depth)
             continue
-        if weight <= tol or depth >= measures._MAX_DEPTH:
+        if weight <= measures._REFINE_TOL or depth >= measures._MAX_DEPTH:
             total += 0.5 * weight * coin_mass_from(depth)
             continue
-        forced = coin_constraints.get(depth)
+        forced = coins[depth] if depth < len(coins) else None
         for coin, t in letters:
             if forced is not None and coin != forced:
                 continue
@@ -408,25 +425,32 @@ def rectangle_inputs(draw):
                             max_size=n - 1))
     nu = InducedMeasureSpec(kind="product", p=draw(st.floats(0.05, 0.95)),
                             pi=tuple(w / sum(weights) for w in weights))
-    constraints = draw(st.dictionaries(st.integers(0, 4), st.integers(0, 1),
-                                       max_size=3))
+    coins = tuple(draw(st.lists(st.integers(0, 1), max_size=4)))
     # endpoints anywhere in and around [a, b]: most targets straddle
     # cylinders at every depth, so the tolerance bounds the tree
     ends = sorted(draw(st.lists(st.floats(ctx.a - 0.05, ctx.b + 0.05),
                                 min_size=2, max_size=2)))
-    return (nu, ctx, constraints, ends[0], ends[1],
-            draw(st.integers(2, n)), draw(st.sampled_from([1e-3, 1e-5])))
+    return nu, ctx, coins, ends[0], ends[1], draw(st.integers(2, n))
+
+
+def walk_both(args, chunk, tol):
+    """_product_rectangle and its scalar reference at one _CHUNK and
+    _REFINE_TOL, as float.hex."""
+    with mock.patch.object(measures, "_CHUNK", chunk), \
+            mock.patch.object(measures, "_REFINE_TOL", tol), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        return (measures._product_rectangle(*args).hex(),
+                scalar_product_rectangle(*args).hex())
 
 
 @settings(max_examples=60, deadline=None)
-@given(args=rectangle_inputs(), chunk=st.sampled_from([1, 5, 1024]))
-def test_product_rectangle_matches_scalar_walk(args, chunk):
+@given(args=rectangle_inputs(), chunk=st.sampled_from([1, 5, 1024]),
+       tol=st.sampled_from([1e-3, 1e-5]))
+def test_product_rectangle_matches_scalar_walk(args, chunk, tol):
     # chunk 1 and 5 split the frontier into many pieces
-    with mock.patch.object(measures, "_CHUNK", chunk), \
-            warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        value = measures._product_rectangle(*args)
-    assert value.hex() == scalar_product_rectangle(*args).hex()
+    value, reference = walk_both(args, chunk, tol)
+    assert value == reference
 
 
 @st.composite
@@ -476,26 +500,22 @@ def pruned_targets(draw):
                             max_size=n - 1))
     nu = InducedMeasureSpec(kind="product", p=draw(st.floats(0.05, 0.95)),
                             pi=tuple(w / sum(weights) for w in weights))
-    constraints = draw(st.dictionaries(st.integers(0, 4), st.integers(0, 1),
-                                       max_size=3))
-    return (nu, ctx, constraints, lo, hi, draw(st.integers(2, n)),
-            draw(st.sampled_from([1e-3, 1e-5])))
+    coins = tuple(draw(st.lists(st.integers(0, 1), max_size=4)))
+    return nu, ctx, coins, lo, hi, draw(st.integers(2, n))
 
 
 @settings(max_examples=80, deadline=None)
-@given(args=pruned_targets(), chunk=st.sampled_from([1, 5, 1024]))
-def test_product_rectangle_pruning_matches_scalar_walk(args, chunk):
-    with mock.patch.object(measures, "_CHUNK", chunk), \
-            warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        value = measures._product_rectangle(*args)
-    assert value.hex() == scalar_product_rectangle(*args).hex()
+@given(args=pruned_targets(), chunk=st.sampled_from([1, 5, 1024]),
+       tol=st.sampled_from([1e-3, 1e-5]))
+def test_product_rectangle_pruning_matches_scalar_walk(args, chunk, tol):
+    value, reference = walk_both(args, chunk, tol)
+    assert value == reference
 
 
 def test_product_rectangle_with_no_letter_left():
     # a first-letter bound above n leaves the root no child at all
     nu, ctx = InducedMeasureSpec(kind="product", p=0.5, pi=(0.5, 0.5)), CTX
-    args = (nu, ctx, {0: 1}, ctx.a, ctx.b, 4)
+    args = (nu, ctx, (1,), ctx.a, ctx.b, 4)
     assert measures._product_rectangle(*args) == 0.0
     assert scalar_product_rectangle(*args) == 0.0
 
