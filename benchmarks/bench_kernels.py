@@ -2,7 +2,9 @@
 
 Runs the first-return statistics loop (`induced_stats`) and the Parry
 chain sampler (`chain_sample`) for a few problem sizes and prints the
-best wall times. Two last tables time work the kernels do not touch. One
+best wall times, each beside the peak of memory that `tracemalloc` traced
+in one more, untimed call (arrays the kernel allocates, including its
+result). Two last tables time work the kernels do not touch. One
 is the extended-precision work behind `entropy --n-range 3..60`:
 `solve_lambda` at 150 bits for n = 31..60 from an empty root cache, and
 `_inv_cd_direct` on those roots. The other is the depth-4 cylinder
@@ -14,6 +16,8 @@ Usage: python3 benchmarks/bench_kernels.py [--repeat 3] [--seed 1]
 
 import argparse
 import time
+import tracemalloc
+from functools import partial
 from itertools import product
 
 import mpmath
@@ -56,24 +60,37 @@ def _best(call, repeat):
     return best
 
 
+def _traced_mb(call):
+    """Peak traced memory of one call, in MB (2**20 bytes)."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
 def run(repeat: int, seed: int) -> None:
-    print(f"induced_stats\n{'n':>4} {'points':>8} {'steps':>7} {'[s]':>14}")
+    print(f"induced_stats\n{'n':>4} {'points':>8} {'steps':>7} {'[s]':>14} "
+          f"{'peak [MB]':>10}")
     for n, points, steps in INDUCED_CASES:
         ctx = solve_beta(n)
         x0 = kernels.uniform_starts(seed, points, ctx.a + 1e-9,
                                     ctx.b - 1e-9)
-        best = _best(lambda: kernels.induced_stats(ctx, x0, steps, seed),
-                     repeat)
-        print(f"{n:>4} {points:>8} {steps:>7} {best:>14.4f}")
+        call = partial(kernels.induced_stats, ctx, x0, steps, seed)
+        best = _best(call, repeat)
+        print(f"{n:>4} {points:>8} {steps:>7} {best:>14.4f} "
+              f"{_traced_mb(call):>10.2f}")
 
-    print(f"chain_sample\n{'n':>4} {'steps':>16} {'[s]':>14}")
+    print(f"chain_sample\n{'n':>4} {'steps':>16} {'[s]':>14} "
+          f"{'peak [MB]':>10}")
     for n, steps in CHAIN_CASES:
         chain = markov.build_chain(n)
         cum_rows = np.cumsum(chain.P_trans, axis=1)
         start_cum = np.cumsum(chain.p)
-        best = _best(lambda: kernels.chain_sample(cum_rows, start_cum, steps,
-                                                  seed), repeat)
-        print(f"{n:>4} {steps:>16} {best:>14.4f}")
+        call = partial(kernels.chain_sample, cum_rows, start_cum, steps, seed)
+        best = _best(call, repeat)
+        print(f"{n:>4} {steps:>16} {best:>14.4f} {_traced_mb(call):>10.2f}")
 
     def solve_cold():
         algebra._solve_poly.cache_clear()

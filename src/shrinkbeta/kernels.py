@@ -10,7 +10,7 @@ points are grouped into numpy calls does not change a result, only how
 fast it comes:
 
 * `induced_stats` draws the coins of a block of steps for all points in
-  one `_raw` call of about `_COIN_WORDS` words (word `j*steps + k` depends
+  one `_raw` draw of about `_DRAW_WORDS` words (word `j*steps + k` depends
   only on the seed and that index). After each coin step it carries only
   the points outside `[a, b]` through the rounds, as an ascending index
   set that shrinks every round, and counts the points that leave per
@@ -27,11 +27,21 @@ fast it comes:
   check meets first: no excursion reads another.
 * `chain_sample` turns each uniform into its bin among the distinct
   values of all cumulative rows with one `searchsorted`, then walks a
-  `(state, bin) -> next state` table over Python lists, `_CHAIN_CHUNK`
-  steps at a time. The next state is the number of row values at most
-  `u`, capped at `m - 1`; every row value is a bin edge, so that number is
-  the same for every `u` in one bin, and each table entry counts it at a
-  value from its bin. Rows must be non-decreasing, as checked on entry.
+  `(state, bin) -> next state` table over Python lists, one draw of
+  `_DRAW_WORDS` steps at a time. The next state is the number of row
+  values at most `u`, capped at `m - 1`; every row value is a bin edge, so
+  that number is the same for every `u` in one bin, and each table entry
+  counts it at a value from its bin. Rows must be non-decreasing, as
+  checked on entry.
+
+`_DRAW_WORDS` sizes every draw, so a bulk loop's working set is about
+three arrays of 16,384 8-byte items (128 KiB each) whatever its length:
+`_raw` mixes each draw in place, in one work array and one shift
+temporary, and each loop frees one draw before it makes the next. At
+16,384 words a draw still amortizes numpy's per-call cost over 1024
+points times 16 steps or 16,384 chain steps, and larger draws only add
+memory. Word values depend on the index alone, so the draw size changes
+no output bit.
 """
 
 import numpy as np
@@ -46,9 +56,8 @@ _MAX_STATES = np.iinfo(np.int8).max
 _GOLDEN = np.uint64(_bits._GOLDEN)
 _MIX1 = np.uint64(_bits._MIX1)
 _MIX2 = np.uint64(_bits._MIX2)
-_COIN_WORDS = 16384   # coin words per `_raw` call: 16 steps of 1024 points
-_TAIL = 64            # fewer points than this finish a step point by point
-_CHAIN_CHUNK = 65536  # chain steps walked per uniform draw
+_DRAW_WORDS = 16384  # words per `_raw` draw: 16 steps of 1024 points
+_TAIL = 64           # fewer points than this finish a step point by point
 
 
 def _at_least(name, value, least):
@@ -89,13 +98,14 @@ def _induced(beta, a, b, domain_max, n_cap, x0, steps, seed):
     hist = [0] * (n_cap + 2)
     low, high = -_DRIFT_GUARD, domain_max + _DRIFT_GUARD
     offsets = np.arange(count, dtype=np.uint64) * np.uint64(steps)
-    block = max(1, _COIN_WORDS // max(count, 1))
+    block = max(1, _DRAW_WORDS // max(count, 1))
     outward = beta * low < low and beta * high - 1.0 > high
     tail = _TAIL if outward else count + 1
     for k0 in range(0, steps, block):
         ks = np.arange(k0, min(k0 + block, steps), dtype=np.uint64)
         z = _raw(seed, STREAM_COIN, ks[:, None] + offsets)
-        for bits in (z >> np.uint64(63)).astype(np.float64):
+        z >>= np.uint64(63)
+        for bits in z.astype(np.float64):
             x = beta * x - bits
             idx = ((x < a) | (x > b)).nonzero()[0]
             hist[1] += count - idx.size
@@ -116,6 +126,7 @@ def _induced(beta, a, b, domain_max, n_cap, x0, steps, seed):
                     _finish(beta, a, b, domain_max, n_cap, hist,
                             landed.tolist(), 1)
                     raise
+        del z, bits  # free this draw before the next one is made
     return np.array(hist, dtype=np.int64), x
 
 
@@ -183,11 +194,12 @@ def chain_sample(cum_rows, start_cum, steps: int, seed: int):
     state = min(int(np.searchsorted(start_cum, u0, side="right")), m - 1)
     out = np.empty(steps, dtype=np.int8)
     out[0] = state
-    for k0 in range(1, steps, _CHAIN_CHUNK):
-        u = _uniforms(seed, STREAM_CHAIN, k0, min(k0 + _CHAIN_CHUNK, steps))
+    for k0 in range(1, steps, _DRAW_WORDS):
+        u = _uniforms(seed, STREAM_CHAIN, k0, min(k0 + _DRAW_WORDS, steps))
         bins = np.searchsorted(edges, u, side="right").tolist()
         path = [state := table[state][i] for i in bins]
         out[k0:k0 + len(path)] = np.frombuffer(bytes(path), dtype=np.int8)
+        del u, bins, path  # free this draw before the next one is made
     return out
 
 
@@ -204,23 +216,31 @@ def coin_bits(seed: int, count: int):
     _at_least("count", count, 0)
     idx = np.arange(count, dtype=np.uint64)
     z = _raw(int(seed) & _MASK, STREAM_COIN, idx)
-    return (z >> np.uint64(63)).astype(np.uint8)
-
-
-def _mix64(z):
-    z = (z ^ (z >> np.uint64(30))) * _MIX1
-    z = (z ^ (z >> np.uint64(27))) * _MIX2
-    return z ^ (z >> np.uint64(31))
+    z >>= np.uint64(63)
+    return z.astype(np.uint8)
 
 
 def _raw(seed, stream, index):
-    """Vectorized counter-based generator word, index may be an array."""
-    base = np.uint64(seed) ^ np.uint64(stream)
-    return _mix64(base + (index + np.uint64(1)) * _GOLDEN)
+    """Vectorized counter-based generator words for an index array, which
+    is left as it is. splitmix64 runs in place on one work array and one
+    shift temporary; every operation is the same mod 2**64."""
+    z = index + np.uint64(1)
+    z *= _GOLDEN
+    z += np.uint64(seed) ^ np.uint64(stream)
+    t = z >> np.uint64(30)
+    z ^= t
+    z *= _MIX1
+    np.right_shift(z, np.uint64(27), out=t)
+    z ^= t
+    z *= _MIX2
+    np.right_shift(z, np.uint64(31), out=t)
+    z ^= t
+    return z
 
 
 def _uniforms(seed, stream, lo, hi):
     """Uniforms in [0, 1) with 53 random mantissa bits, draws lo .. hi - 1
     of a stream."""
     z = _raw(seed, stream, np.arange(lo, hi, dtype=np.uint64))
-    return (z >> np.uint64(11)) * 2.0 ** -53
+    z >>= np.uint64(11)
+    return z * 2.0 ** -53

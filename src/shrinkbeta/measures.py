@@ -40,9 +40,11 @@ _REFINE_TOL = 1e-14
 _MAX_DEPTH = 200
 # longest frontier chunk _product_rectangle expands at once
 _CHUNK = 1024
-# blocks block_entropy encodes and counts at once, so a long int8 path is
-# never copied whole to int64
-_BLOCK_CHUNK = 65536
+# blocks block_entropy encodes and counts at once: a long int8 path is
+# never copied whole to int64, and a chunk holds two int64 arrays of this
+# size (the kernels' draw size); the counts are integers, so no result
+# depends on it
+_BLOCK_CHUNK = 16384
 # most terms cylinder_overlap evaluates at once (one prefix's tail may
 # exceed it and is then evaluated alone)
 _OVERLAP_CHUNK = 8192
@@ -437,7 +439,8 @@ def block_entropy(sample, block_len: int, alphabet_size: int) -> float:
         chunk = sample[lo:lo + size + block_len - 1].astype(np.int64)
         codes = np.zeros(size, dtype=np.int64)
         for i in range(block_len):
-            codes = codes * alphabet_size + chunk[i:size + i]
+            codes *= alphabet_size
+            codes += chunk[i:size + i]
         part = np.bincount(codes)
         counts = np.pad(counts, (0, max(0, part.size - counts.size)))
         counts[:part.size] += part

@@ -122,6 +122,18 @@ def test_n_below_three_is_usage_error():
      "argument --n-range: not allowed with argument --n"),
     (["entropy", "--n", "5", "--n-range", "3..4"],
      "argument --n-range: not allowed with argument --n"),
+    (["constants", "--n", "3", "--out", "no-such-dir/x.json"],
+     "constants: cannot write --out 'no-such-dir/x.json': No such file"),
+    (["simulate", "--n", "3", "--x0", "0.5", "--steps", "3", "--out", "."],
+     "simulate: cannot write --out '.': Is a directory"),
+    (["markov", "--n", "3", "--out", "no-such-dir/m.csv"],
+     "markov: cannot write --out 'no-such-dir/m.csv': No such file"),
+    (["parry", "--n", "3", "--out", "."],
+     "parry: cannot write --out '.': Is a directory"),
+    (["verify", "--suite", "gls", "--n", "3", "--out", "."],
+     "verify: cannot write --out '.': Is a directory"),
+    (["entropy", "--n", "3", "--out", "no-such-dir/e.csv"],
+     "entropy: cannot write --out 'no-such-dir/e.csv': No such file"),
 ], ids=["precision-50", "precision-abc", "entropy-precision-64", "points-0",
         "samples-0", "steps-negative", "parry-samples-2499",
         "parry-samples-negative", "entropy-samples-4899",
@@ -130,7 +142,9 @@ def test_n_below_three_is_usage_error():
         "constants-n-54", "markov-n-60", "simulate-n-78",
         "corrupt-adjacency-gls", "corrupt-adjacency-symbolic",
         "corrupt-adjacency-measures", "verify-n-and-n-range",
-        "entropy-n-and-n-range"])
+        "entropy-n-and-n-range", "constants-out-missing-dir",
+        "simulate-out-dir", "markov-out-missing-dir", "parry-out-dir",
+        "verify-out-dir", "entropy-out-missing-dir"])
 def test_bad_precision_or_size_is_usage_error(argv, message, capsys):
     with pytest.raises(SystemExit) as err:
         main(argv)

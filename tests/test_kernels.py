@@ -67,6 +67,23 @@ def test_vectorized_streams_match_scalar():
     assert uniforms.min() >= 0.0 and uniforms.max() < 1.0
 
 
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 64 - 1),
+       stream=st.sampled_from([_bits.STREAM_COIN, _bits.STREAM_START,
+                               _bits.STREAM_CHAIN]),
+       index=st.lists(st.integers(0, 2 ** 64 - 1), max_size=40)
+       .map(lambda ints: [0, 2 ** 64 - 1] + ints))
+def test_in_place_mixer_matches_scalar_words(seed, stream, index):
+    # at index 2**64 - 1 the counter index + 1 wraps to 0
+    idx = np.array(index, dtype=np.uint64)
+    before = idx.copy()
+    words = kernels._raw(seed, stream, idx)
+    assert words.dtype == np.uint64
+    assert [int(w) for w in words] == \
+        [_bits.raw_at(seed, i, stream) for i in index]
+    assert np.array_equal(idx, before)
+
+
 def test_streams_are_disjoint_per_seed():
     seed = 42
     coins = kernels.coin_bits(seed, 64)
@@ -306,7 +323,7 @@ def test_induced_stats_matches_reference(n, seed, points, steps, words,
     ctx = solve_beta(n)
     x0 = kernels.uniform_starts(seed, points, ctx.a, ctx.b)
     args = (ctx.beta, ctx.a, ctx.b, ctx.domain_max, ctx.n, x0, steps, seed)
-    with mock.patch.object(kernels, "_COIN_WORDS", words), \
+    with mock.patch.object(kernels, "_DRAW_WORDS", words), \
             mock.patch.object(kernels, "_TAIL", tail):
         got = _outcome(kernels._induced, *args)
     assert type(got[0]) is list
@@ -345,7 +362,7 @@ def faulty_inputs(draw):
 @settings(max_examples=60, deadline=None)
 @given(args=faulty_inputs(), **KERNEL_SIZES)
 def test_induced_stats_errors_match_reference(args, words, tail):
-    with mock.patch.object(kernels, "_COIN_WORDS", words), \
+    with mock.patch.object(kernels, "_DRAW_WORDS", words), \
             mock.patch.object(kernels, "_TAIL", tail):
         got = _outcome(kernels._induced, *args)
     assert got == _outcome(reference_induced_stats, *args)
@@ -365,7 +382,7 @@ def dyadic_inputs(draw):
 @settings(max_examples=60, deadline=None)
 @given(args=dyadic_inputs(), **KERNEL_SIZES)
 def test_induced_stats_boundary_hits_match_reference(args, words, tail):
-    with mock.patch.object(kernels, "_COIN_WORDS", words), \
+    with mock.patch.object(kernels, "_DRAW_WORDS", words), \
             mock.patch.object(kernels, "_TAIL", tail):
         got = _outcome(kernels._induced, *args)
     assert got == _outcome(reference_induced_stats, *args)
@@ -526,7 +543,7 @@ def chain_inputs(draw):
 @settings(max_examples=60, deadline=None)
 @given(args=chain_inputs(), chunk=st.sampled_from([1, 3, 64, 65536]))
 def test_chain_sample_matches_reference(args, chunk):
-    with mock.patch.object(kernels, "_CHAIN_CHUNK", chunk):
+    with mock.patch.object(kernels, "_DRAW_WORDS", chunk):
         path = kernels.chain_sample(*args)
     assert path.dtype == np.int8
     assert np.array_equal(path, reference_chain_sample(*args))
@@ -549,7 +566,7 @@ def test_parry_path_matches_reference_across_chunks(n):
     chain = markov.build_chain(n)
     cum_rows = np.cumsum(chain.P_trans, axis=1)
     start_cum = np.cumsum(chain.p)
-    steps = 2 * kernels._CHAIN_CHUNK + 3
+    steps = 2 * kernels._DRAW_WORDS + 3
     assert np.array_equal(
         kernels.chain_sample(cum_rows, start_cum, steps, seed=n),
         reference_chain_sample(cum_rows, start_cum, steps, seed=n))
@@ -565,6 +582,28 @@ def test_chain_sample_holds_no_full_length_temporaries():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the int8 path itself is 1 MB; one float64 array of the path's length
-    # alone would be 8 MB
-    assert path.size == 10 ** 6 and peak < 8 * 2 ** 20
+    # the int8 path itself is 10**6 bytes, and one float64 array of the
+    # path's length alone would be 8 MB. A draw of 16,384 steps holds arrays
+    # of 16,384 8-byte items (a list holds 8-byte pointers to small ints),
+    # at most three at once: index, work and shift words; then uniforms,
+    # bins and bin list; then uniforms, bin list and path list. The bound
+    # allows four.
+    assert path.size == 10 ** 6 and peak < 10 ** 6 + 4 * 16384 * 8
+
+
+def test_induced_stats_working_set_is_one_draw():
+    ctx = solve_beta(4)
+    x0 = kernels.uniform_starts(1, 1024, ctx.a, ctx.b)
+    tracemalloc.start()
+    try:
+        kernels.induced_stats(ctx, x0, 1000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the coins of all 1000 steps would be 8 MB as uint64. A draw covers
+    # 16 steps of 1024 points in 16,384 8-byte words, at most three such
+    # arrays at once (index, work and shift words; then words and float
+    # coins), and the bound allows four. Beside them live a few arrays of
+    # 1024 points (positions, counter offsets, the points out and their
+    # values); the bound allows sixteen.
+    assert peak < 4 * 16384 * 8 + 16 * 1024 * 8

@@ -287,8 +287,12 @@ def test_entropy_estimate_holds_no_full_length_int64():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # one int64 copy of the 1e6-symbol path alone would be 8 MB
-    assert peak < 4 * 2 ** 20
+    # one int64 copy of the 1e6-symbol path alone would be 8 MB. A chunk
+    # holds two int64 arrays of 16,384 blocks (the symbols and their codes),
+    # and one of the previous chunk's stays alive while the next chunk's
+    # are made: at most three such arrays at once, and the bound allows
+    # four. The block counts have 15**2 entries at most.
+    assert peak < 4 * 16384 * 8
 
 
 def sample_return_times(law, count, seed):
