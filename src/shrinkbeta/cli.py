@@ -3,9 +3,12 @@
 Subcommands: constants, simulate, markov, parry, verify, entropy. Every
 artifact is plain CSV or JSON with floats at 12 significant digits, and a
 fixed config maps to byte-identical output. Each command builds its report
-from raw values and renders it through `_dump_json` or `_csv` only, so that
-print format is decided in one place. Exit codes: 0 success, 1
-verification/runtime failure, 2 usage error.
+from raw values and hands it to `_write`, the one writer: it renders the
+report as JSON, or a header and rows as CSV, per `--format`, to `--out` or
+stdout. An orbit `simulate` is always CSV. Options that several subcommands
+share live in one table, `_SHARED`; each subcommand names the ones it
+reads. Exit codes: 0 success, 1 verification/runtime failure, 2 usage
+error.
 
 `main(argv)` can be called repeatedly in one process: it builds its parser
 on the first call and reuses it, since each parse keeps its state in the
@@ -68,10 +71,6 @@ def _emit(text: str, out: str | None) -> None:
                              f"{exc.strerror}") from None
 
 
-def _dump_json(obj) -> str:
-    return json.dumps(_jnum(obj), indent=2, sort_keys=True) + "\n"
-
-
 def _csv(header, rows) -> str:
     """CSV text: floats at 12 significant digits, other values as str,
     fields quoted only where the csv module needs it."""
@@ -81,6 +80,16 @@ def _csv(header, rows) -> str:
     writer.writerows([_fmt(v) if isinstance(v, float) else str(v)
                       for v in row] for row in rows)
     return buf.getvalue()
+
+
+def _write(args, report, header, rows) -> None:
+    """Write `report` as JSON, or `header` and `rows` as CSV, per --format,
+    to --out or stdout."""
+    if args.format == "json":
+        text = json.dumps(_jnum(report), indent=2, sort_keys=True) + "\n"
+    else:
+        text = _csv(header, rows)
+    _emit(text, args.out)
 
 
 def _scale(value: float, log_base: str) -> float:
@@ -110,10 +119,7 @@ def cmd_constants(args) -> int:
         "mu_center": float(center.mu_center),
         "expected_tau": float(expected_tau),
     }
-    if args.format == "json":
-        _emit(_dump_json(report), args.out)
-    else:
-        _emit(_csv(["quantity", "value"], report.items()), args.out)
+    _write(args, report, ["quantity", "value"], report.items())
     return 0
 
 
@@ -139,7 +145,7 @@ def _orbit_simulate(args, ctx) -> str:
     return text + "\n" + _csv(["tau", "count", "freq", "expected"], tally)
 
 
-def _bulk_simulate(args, ctx) -> str:
+def _bulk_simulate(args, ctx) -> None:
     points = args.points
     steps = args.samples // points
     total = points * steps
@@ -154,17 +160,15 @@ def _bulk_simulate(args, ctx) -> str:
         sigma = math.sqrt(expected * (1 - expected) / total)
         rows.append((t, count, freq, expected, (freq - expected) / sigma))
     header = ("tau", "count", "freq", "expected", "z")
-    if args.format == "json":
-        report = {
-            "n": ctx.n, "seed": args.seed, "points": points, "steps": steps,
-            "samples": total, "backend": kernels.BACKEND,
-            "tau1_count": int(hist[1]),
-            "out_of_range_count": int(hist[0] + hist[1] + hist[ctx.n + 1]),
-            "max_abs_z": max(abs(r[-1]) for r in rows),
-            "histogram": [dict(zip(header, r)) for r in rows],
-        }
-        return _dump_json(report)
-    return _csv(header, rows)
+    report = {
+        "n": ctx.n, "seed": args.seed, "points": points, "steps": steps,
+        "samples": total, "backend": kernels.BACKEND,
+        "tau1_count": int(hist[1]),
+        "out_of_range_count": int(hist[0] + hist[1] + hist[ctx.n + 1]),
+        "max_abs_z": max(abs(r[-1]) for r in rows),
+        "histogram": [dict(zip(header, r)) for r in rows],
+    }
+    _write(args, report, header, rows)
 
 
 def cmd_simulate(args) -> int:
@@ -175,21 +179,28 @@ def cmd_simulate(args) -> int:
     if args.x0 is not None:
         _emit(_orbit_simulate(args, ctx), args.out)
     else:
-        _emit(_bulk_simulate(args, ctx), args.out)
+        _bulk_simulate(args, ctx)
     return 0
 
 
 def cmd_markov(args) -> int:
-    report = markov.chain_to_json(args.n)
-    for key in ("h_K", "h_I_induced", "h_I_max", "margin"):
-        report[key] = _scale(report[key], args.log_base)
-    if args.format == "json":
-        _emit(_dump_json(report), args.out)
-    else:
-        _emit(_csv(["label", "lo", "hi", "p"],
-                   [(cell["label"], cell["lo"], cell["hi"], p)
-                    for cell, p in zip(report["cells"], report["p"])]),
-              args.out)
+    chain = markov.parry_chain(args.n)
+    center = markov.parry_center(args.n)
+    report = {
+        "n": args.n, "lambda": chain.lam,
+        "cells": [cell._asdict() for cell in chain.cells],
+        "adjacency": chain.adjacency.tolist(),
+        "u": chain.u.tolist(), "v": chain.v.tolist(),
+        "cd": float(1 / center.inv_cd),
+        "p": chain.p.tolist(), "P_trans": chain.P_trans.tolist(),
+        "h_K": _scale(math.log(chain.lam), args.log_base),
+        "h_I_induced": _scale(center.h_induced, args.log_base),
+        "h_I_max": _scale(mme_entropy(args.n), args.log_base),
+        "margin": _scale(center.margin, args.log_base),
+    }
+    _write(args, report, ["label", "lo", "hi", "p"],
+           ((cell.label, cell.lo, cell.hi, p)
+            for cell, p in zip(chain.cells, report["p"])))
     return 0
 
 
@@ -224,47 +235,33 @@ def cmd_parry(args) -> int:
         est = _sampled_rate(chain, args.samples, args.seed)
         report["empirical_rate"] = _scale(est, args.log_base)
         report["empirical_deviation"] = abs(_scale(est - h, args.log_base))
-    if args.format == "json":
-        _emit(_dump_json(report), args.out)
-    else:
-        rows = [(i, cell.label, p)
-                for i, (cell, p) in enumerate(zip(chain.cells, chain.p))]
-        rows.append(("entropy_rate", "", report["entropy_rate"]))
-        _emit(_csv(["state", "label", "p"], rows), args.out)
+    rows = [(i, cell.label, p)
+            for i, (cell, p) in enumerate(zip(chain.cells, chain.p))]
+    rows.append(("entropy_rate", "", report["entropy_rate"]))
+    _write(args, report, ["state", "label", "p"], rows)
     return 0
 
 
 def cmd_verify(args) -> int:
     kwargs = {"seed": args.seed}
-    n_range = args.n or args.n_range
-    if n_range is not None:
-        lo, hi = n_range
+    if args.n is not None:
+        lo, hi = args.n
         kwargs["n_values"] = tuple(range(lo, hi + 1))
-    if args.corrupt_adjacency:
-        if args.suite == "all":
-            args.suite = "markov"
-        if args.suite != "markov":
-            raise UsageError(f"--corrupt-adjacency needs --suite markov or "
-                             f"all, got {args.suite}")
-        kwargs["corrupt_adjacency"] = True
     rows = verify.run(args.suite, **kwargs)
     rows = sorted(rows, key=lambda r: (r.n, r.check, r.params))
     ok = all(r.passed for r in rows)
-    if args.format == "json":
-        report = {
-            "suite": args.suite,
-            "pass": ok,
-            "checks": len(rows),
-            "failures": sum(1 for r in rows if not r.passed),
-            "rows": [r.as_json() for r in rows],
-        }
-        _emit(_dump_json(report), args.out)
-    else:
-        # params strings may contain commas; _csv quotes them
-        _emit(_csv(["check", "n", "params", "lhs", "rhs", "deviation",
-                    "pass"],
-                   [(r.check, r.n, r.params, r.lhs, r.rhs, r.deviation,
-                     int(r.passed)) for r in rows]), args.out)
+    report = {
+        "suite": args.suite,
+        "pass": ok,
+        "checks": len(rows),
+        "failures": sum(1 for r in rows if not r.passed),
+        "rows": [r.as_json() for r in rows],
+    }
+    # params strings may contain commas; _csv quotes them
+    _write(args, report,
+           ["check", "n", "params", "lhs", "rhs", "deviation", "pass"],
+           ((r.check, r.n, r.params, r.lhs, r.rhs, r.deviation,
+             int(r.passed)) for r in rows))
     return 0 if ok else 1
 
 
@@ -287,14 +284,11 @@ def cmd_entropy(args) -> int:
                                 args.seed)
             entry["empirical_rate"] = _scale(est, args.log_base)
         out_rows.append(entry)
-    if args.format == "json":
-        _emit(_dump_json({"rows": out_rows}), args.out)
-    else:
-        cols = ["n", "lambda", "h_max", "h_induced", "margin"]
-        if any("empirical_rate" in e for e in out_rows):
-            cols.append("empirical_rate")
-        _emit(_csv(cols, [[e.get(c, "") for c in cols] for e in out_rows]),
-              args.out)
+    cols = ["n", "lambda", "h_max", "h_induced", "margin"]
+    if any("empirical_rate" in e for e in out_rows):
+        cols.append("empirical_rate")
+    _write(args, {"rows": out_rows}, cols,
+           ([e.get(c, "") for c in cols] for e in out_rows))
     return 0
 
 
@@ -334,6 +328,27 @@ def _n_range(text: str):
     return lo, hi
 
 
+# the options that several subcommands share, as add_argument keywords
+_SHARED = {
+    "--n": {"type": _int_ge3, "default": 3},
+    "--seed": {"type": int, "default": 1},
+    "--precision": {"type": _precision, "default": "double",
+                    "help": "'double' or an mpmath significand width in "
+                            f"bits (>= {MIN_PRECISION})"},
+    "--format": {"choices": ("csv", "json"), "default": "json"},
+    "--log-base": {"choices": ("e", "2"), "default": "e"},
+    "--out": {"default": None},
+}
+
+
+def _add_shared(parser, names, **changes) -> None:
+    """Add the shared options `names` to parser (or an argument group),
+    each with the table's keywords updated by changes[dest]."""
+    for name in names:
+        dest = name[2:].replace("-", "_")
+        parser.add_argument(name, **{**_SHARED[name], **changes.get(dest, {})})
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="shrinkbeta",
@@ -342,23 +357,14 @@ def build_parser() -> argparse.ArgumentParser:
                     "measures and verification suites.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, n_default=3):
-        p.add_argument("--n", type=_int_ge3, default=n_default)
-        p.add_argument("--seed", type=int, default=1)
-        p.add_argument("--format", choices=("csv", "json"), default="json")
-        p.add_argument("--log-base", choices=("e", "2"), default="e",
-                       dest="log_base")
-        p.add_argument("--out", default=None)
-
     p = sub.add_parser("constants", help="derived constants for one n")
-    common(p)
-    p.add_argument("--precision", type=_precision, default="double",
-                   help="'double' or an mpmath significand width in bits "
-                        f"(>= {MIN_PRECISION})")
+    _add_shared(p, ("--n", "--precision", "--format", "--log-base", "--out"))
     p.set_defaults(fn=cmd_constants)
 
     p = sub.add_parser("simulate", help="orbit CSV or bulk return-time law")
-    common(p)
+    _add_shared(p, ("--n", "--seed", "--format", "--out"),
+                format={"help": "bulk mode's format; an orbit (--x0) is "
+                                "always CSV"})
     p.add_argument("--x0", type=float, default=None,
                    help="start point: emit one orbit instead of bulk stats")
     p.add_argument("--steps", type=_at_least(0), default=32,
@@ -371,11 +377,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("markov", help="cells, adjacency, eigendata, chain")
-    common(p)
+    _add_shared(p, ("--n", "--format", "--log-base", "--out"))
     p.set_defaults(fn=cmd_markov)
 
     p = sub.add_parser("parry", help="maximal-entropy chain and its entropy")
-    common(p)
+    _add_shared(p, ("--n", "--seed", "--format", "--log-base", "--out"))
     p.add_argument("--samples", type=int, default=0,
                    help="if not 0, sample a path of at least 100*(2n-1)^2 "
                         "states and report an empirical rate")
@@ -384,32 +390,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", choices=("gls", "symbolic", "markov",
                                        "measures", "all"), default="all")
-    n_args = p.add_mutually_exclusive_group()
-    n_args.add_argument("--n", type=_n_range, default=None,
-                        help="single n or range A..B for the suite")
-    n_args.add_argument("--n-range", type=_n_range, dest="n_range",
-                        default=None, help="range A..B (same as --n A..B)")
-    p.add_argument("--seed", type=int, default=verify._DEFAULT_SEED)
-    p.add_argument("--format", choices=("csv", "json"), default="json")
-    p.add_argument("--out", default=None)
-    p.add_argument("--corrupt-adjacency", action="store_true",
-                   dest="corrupt_adjacency", help=argparse.SUPPRESS)
+    p.add_argument("--n", type=_n_range, default=None,
+                   help="single n or range A..B for the suite")
+    _add_shared(p, ("--seed", "--format", "--out"),
+                seed={"default": verify._DEFAULT_SEED})
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("entropy", help="entropy-margin table over a range")
     n_args = p.add_mutually_exclusive_group()
-    n_args.add_argument("--n", type=_int_ge3, default=None)
-    n_args.add_argument("--n-range", type=_n_range, dest="n_range",
-                        default=None)
-    p.add_argument("--seed", type=int, default=1)
+    _add_shared(n_args, ("--n",), n={"default": None})
+    n_args.add_argument("--n-range", type=_n_range, default=None)
+    _add_shared(p, ("--seed", "--precision", "--format", "--log-base",
+                    "--out"), format={"default": "csv"})
     p.add_argument("--samples", type=_at_least(0), default=0,
                    help="if not 0, add empirical rates for n <= "
                         f"{_SAMPLED_N_MAX} (at least 100*(2n-1)^2 states)")
-    p.add_argument("--precision", type=_precision, default="double")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--log-base", choices=("e", "2"), default="e",
-                   dest="log_base")
-    p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_entropy)
 
     return parser

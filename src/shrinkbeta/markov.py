@@ -61,7 +61,6 @@ class MarkovChain:
     adjacency: np.ndarray
     u: np.ndarray
     v: np.ndarray
-    cd: float
     p: np.ndarray
     P_trans: np.ndarray
 
@@ -269,12 +268,12 @@ def build_chain(n: int) -> MarkovChain:
     lam = solve_lambda(n).lam
     cells = build_partition(ctx)
     adjacency = build_adjacency(n)
-    u, v, cd = eigen_closed_form(lam, n)
+    u, v, _ = eigen_closed_form(lam, n)
     p, trans = parry_measure(adjacency, lam, u, v)
     for array in (adjacency, u, v, p, trans):
         array.setflags(write=False)
     return MarkovChain(n=n, lam=lam, cells=tuple(cells), adjacency=adjacency,
-                       u=u, v=v, cd=cd, p=p, P_trans=trans)
+                       u=u, v=v, p=p, P_trans=trans)
 
 
 # typed: 3.0 and np.int64(3) hash like 3 but must reach build_chain's checks
@@ -394,27 +393,6 @@ def perron_by_power_iteration(adjacency) -> float:
             return float(lam)
         lam_prev = lam
     return float(lam_prev)
-
-
-def chain_to_json(n: int) -> dict:
-    """Full report: cells, adjacency, eigendata, chain, entropies."""
-    chain = parry_chain(n)
-    center = parry_center(n)
-    return {
-        "n": n,
-        "lambda": chain.lam,
-        "cells": [{"lo": c.lo, "hi": c.hi, "label": c.label} for c in chain.cells],
-        "adjacency": chain.adjacency.tolist(),
-        "u": chain.u.tolist(),
-        "v": chain.v.tolist(),
-        "cd": chain.cd,
-        "p": chain.p.tolist(),
-        "P_trans": chain.P_trans.tolist(),
-        "h_K": math.log(chain.lam),
-        "h_I_induced": center.h_induced,
-        "h_I_max": math.log(2 * n - 2),
-        "margin": center.margin,
-    }
 
 
 def sample_chain(chain: MarkovChain, steps: int, seed: int):

@@ -449,29 +449,21 @@ def block_entropy(sample, block_len: int, alphabet_size: int) -> float:
     return float(-(freqs * np.log(freqs)).sum())
 
 
-def _checked_sample(sample, block_len: int, alphabet_size):
-    """The sample as an array and the alphabet size, after checking that
-    every length-block_len block can appear about 100 times."""
-    if block_len < 1:
-        raise ValueError("block_len must be >= 1")
-    sample = np.asarray(sample)
-    if alphabet_size is None:
-        alphabet_size = int(sample.max()) + 1 if sample.size else 0
-    if sample.size < 100 * alphabet_size ** block_len:
-        raise ValueError(
-            f"need >= {100 * alphabet_size ** block_len} symbols for "
-            f"block length {block_len}, got {sample.size}")
-    return sample, alphabet_size
-
-
 def entropy_rate_estimate(sample, block_len: int,
-                          alphabet_size: int = None) -> float:
+                          alphabet_size: int) -> float:
     """Conditional block-entropy estimate H(L) - H(L-1) of the entropy rate.
 
     Unlike the per-symbol average, this converges to the true rate for
-    Markov sources once block_len exceeds the memory length.
+    Markov sources once block_len exceeds the memory length. The sample
+    must let every length-block_len block appear about 100 times.
     """
-    sample, alphabet_size = _checked_sample(sample, block_len, alphabet_size)
+    if block_len < 1:
+        raise ValueError("block_len must be >= 1")
+    sample = np.asarray(sample)
+    need = 100 * alphabet_size ** block_len
+    if sample.size < need:
+        raise ValueError(f"need >= {need} symbols for block length "
+                         f"{block_len}, got {sample.size}")
     if block_len == 1:
         return block_entropy(sample, 1, alphabet_size)
     return (block_entropy(sample, block_len, alphabet_size)

@@ -181,15 +181,11 @@ def _boundary_worst(endpoint: str, ctx) -> float:
     return worst
 
 
-def markov_suite(n_values=(3, 4, 5, 6, 8, 10), corrupt_adjacency=False,
-                 seed=_DEFAULT_SEED):
+def markov_suite(n_values=(3, 4, 5, 6, 8, 10), seed=_DEFAULT_SEED):
     rows = []
     for n in n_values:
         ctx = solve_beta(n)
         rule = markov.build_adjacency(n)
-        if corrupt_adjacency:
-            rule = rule.copy()
-            rule[0, 0] ^= 1
         images = markov.adjacency_from_images(ctx)
         rows.append(_row("adjacency-rule-vs-images", n, "",
                          float(np.abs(rule - images).sum()), 0.0, 0.0))

@@ -1,6 +1,8 @@
 """Packaging: the in-place build step that the benchmark runs before
-every run, and the names the package exports."""
+every run, the names the package exports, and that every public name has
+a reader in the package."""
 
+import ast
 import shutil
 import subprocess
 import sys
@@ -30,3 +32,24 @@ def test_every_exported_name_resolves():
                if not hasattr(shrinkbeta, name)]
     assert missing == []
     assert len(set(shrinkbeta.__all__)) == len(shrinkbeta.__all__)
+
+
+def test_every_public_name_is_read_in_the_package():
+    # a public module-level function or class must be named somewhere in
+    # src/ besides its own definition, or be exported: a helper that only
+    # tests use belongs in the tests
+    trees = [ast.parse(path.read_text())
+             for path in sorted((ROOT / "src" / "shrinkbeta").glob("*.py"))]
+    named = set(shrinkbeta.__all__)
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name)
+    unread = [node.name for tree in trees for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_") and node.name not in named]
+    assert unread == []

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from shrinkbeta import cli, kernels, verify
+from shrinkbeta import cli, kernels, markov, verify
 from shrinkbeta.algebra import solve_beta
 from shrinkbeta.cli import build_parser, main
 from shrinkbeta.errors import PrecisionLimitError
@@ -82,7 +82,7 @@ def test_n_below_three_is_usage_error():
     for argv in (["constants", "--n", "2"],
                  ["verify", "--n", "abc"],
                  ["verify", "--n", "2..3"],
-                 ["verify", "--n-range", "4..3"],
+                 ["verify", "--n", "4..3"],
                  ["entropy", "--n-range", "5..3"],
                  ["entropy", "--n-range", "1..4"]):
         with pytest.raises(SystemExit) as err:
@@ -112,14 +112,14 @@ def test_n_below_three_is_usage_error():
     (["markov", "--n", "60"], "lambda_n in doubles supports n <= 53"),
     (["simulate", "--n", "78", "--samples", "2000"],
      "beta_n in doubles supports n <= 77"),
-    (["verify", "--suite", "gls", "--corrupt-adjacency"],
-     "--corrupt-adjacency needs --suite markov or all, got gls"),
-    (["verify", "--suite", "symbolic", "--corrupt-adjacency"],
-     "--corrupt-adjacency needs --suite markov or all, got symbolic"),
-    (["verify", "--suite", "measures", "--corrupt-adjacency"],
-     "--corrupt-adjacency needs --suite markov or all, got measures"),
-    (["verify", "--suite", "gls", "--n", "3", "--n-range", "4..5"],
-     "argument --n-range: not allowed with argument --n"),
+    (["constants", "--seed", "2"], "unrecognized arguments: --seed 2"),
+    (["markov", "--seed", "2"], "unrecognized arguments: --seed 2"),
+    (["simulate", "--log-base", "2"],
+     "unrecognized arguments: --log-base 2"),
+    (["verify", "--suite", "gls", "--n-range", "3..4"],
+     "unrecognized arguments: --n-range 3..4"),
+    (["verify", "--suite", "markov", "--corrupt-adjacency"],
+     "unrecognized arguments: --corrupt-adjacency"),
     (["entropy", "--n", "5", "--n-range", "3..4"],
      "argument --n-range: not allowed with argument --n"),
     (["constants", "--n", "3", "--out", "no-such-dir/x.json"],
@@ -140,8 +140,8 @@ def test_n_below_three_is_usage_error():
         "entropy-samples-negative", "entropy-samples-negative-above-8",
         "samples-below-default-points", "samples-below-points",
         "constants-n-54", "markov-n-60", "simulate-n-78",
-        "corrupt-adjacency-gls", "corrupt-adjacency-symbolic",
-        "corrupt-adjacency-measures", "verify-n-and-n-range",
+        "constants-seed", "markov-seed", "simulate-log-base",
+        "verify-n-range", "verify-corrupt-adjacency",
         "entropy-n-and-n-range", "constants-out-missing-dir",
         "simulate-out-dir", "markov-out-missing-dir", "parry-out-dir",
         "verify-out-dir", "entropy-out-missing-dir"])
@@ -332,6 +332,9 @@ def test_markov_json_adjacency(capsys):
     assert [c["label"] for c in rep["cells"]] == \
         ["L0", "L1", "C", "R0", "R1"]
     assert rep["margin"] == pytest.approx(0.03909695220031417, rel=1e-11)
+    assert rep["h_K"] == pytest.approx(math.log(1.7692923542386314),
+                                       rel=1e-11)
+    assert rep["cd"] == pytest.approx(0.07646914772729807, rel=1e-11)
     assert sum(rep["p"]) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -382,13 +385,22 @@ def test_verify_csv_quotes_comma_params(capsys):
     assert all(row[6] == "1" for row in parsed[1:])
 
 
-def test_verify_corrupted_adjacency_fails(capsys):
-    rc, out = _run(capsys, ["verify", "--corrupt-adjacency", "--n", "3"])
+def test_verify_corrupted_adjacency_fails(monkeypatch, capsys):
+    # negative control: the cell images disagree with the adjacency rule
+    # in one entry, and the markov suite must say so
+    def flipped(ctx):
+        images = markov.build_adjacency(ctx.n)
+        images[0, 0] ^= 1
+        return images
+
+    monkeypatch.setattr(markov, "adjacency_from_images", flipped)
+    rc, out = _run(capsys, ["verify", "--suite", "markov", "--n", "3"])
     assert rc == 1
     rep = json.loads(out)
     assert rep["suite"] == "markov"
     assert rep["pass"] is False
-    assert rep["failures"] > 0
+    failing = {row["check"] for row in rep["rows"] if not row["pass"]}
+    assert "adjacency-rule-vs-images" in failing
 
 
 def test_entropy_table_csv(capsys):
@@ -499,11 +511,59 @@ def test_build_parser_returns_a_new_parser():
     assert build_parser() is not build_parser()
 
 
+class _ReadRecorder(argparse.Namespace):
+    """A namespace that records the names of the attributes read from it."""
+
+    def __init__(self):
+        super().__init__()
+        self._reads = set()
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "_reads").add(name)
+        return object.__getattribute__(self, name)
+
+
+# per subcommand, runs that between them take every branch that reads an
+# option: orbit and bulk simulate, sampled parry, entropy by --n and by
+# --n-range
+_EVERY_OPTION_RUNS = {
+    "constants": [["--n", "4"]],
+    "simulate": [["--x0", "1.4", "--steps", "4"],
+                 ["--samples", "128", "--points", "64"]],
+    "markov": [[]],
+    "parry": [["--samples", "2500"]],
+    "verify": [["--suite", "symbolic", "--n", "3"]],
+    "entropy": [["--n", "4", "--samples", "4900"], ["--n-range", "3..4"]],
+}
+
+
+def test_every_option_a_subcommand_declares_is_read(tmp_path):
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices
+    assert set(_EVERY_OPTION_RUNS) == set(subparsers)
+    unread = []
+    for command, runs in _EVERY_OPTION_RUNS.items():
+        read = set()
+        for argv in runs:
+            args = _ReadRecorder()
+            parser.parse_args([command, *argv, "--out",
+                               str(tmp_path / "out")], namespace=args)
+            args._reads.clear()
+            assert args.fn(args) == 0, argv
+            read |= args._reads
+        declared = {a.dest for a in subparsers[command]._actions
+                    if not isinstance(a, argparse._HelpAction)}
+        unread += [f"{command}.{dest}" for dest in sorted(declared - read)]
+    assert unread == []
+
+
 _INTERLEAVED = [
     ("constants --n 3", 0),
     ("simulate --points 0", 2),
     ("simulate --x0 5.0 --steps 4", 1),
-    ("verify --suite markov --n 3 --corrupt-adjacency", 1),
+    ("simulate --n 5 --x0 nan --steps 0", 1),
     ("verify --suite markov --n 3", 0),
     ("simulate --n 4 --samples 2000 --points 64", 0),
 ]

@@ -13,14 +13,13 @@ from shrinkbeta.errors import (InequalityViolationError,
 from shrinkbeta.markov import (adjacency_from_images, build_adjacency,
                                build_chain, build_partition,
                                char_poly_closed_form, char_poly_residual,
-                               chain_to_json, check_inequality,
+                               check_inequality,
                                closed_form_inv_cd, cylinder_measure,
                                eigen_closed_form, eigen_residuals,
                                entropy_rate, parry_center,
                                parry_measure, perron_by_power_iteration,
                                sample_chain, _inv_cd_direct)
 
-LAMBDA3 = 1.7692923542386314
 H_IND3 = 1.3471974089195764
 MARGIN3 = 0.03909695220031417
 MU_CENTER3 = 0.42353085227270193
@@ -94,9 +93,11 @@ def test_inv_cd_closed_form_vs_direct():
 
 
 def test_chain_cd_is_parry_center_cd():
-    # one computation of 1/(cd) behind the chain and the printed constants
+    # one computation of 1/(cd) behind the chain's eigenvectors and the
+    # printed constants
     for n in range(3, 54):
-        assert build_chain(n).cd == 1.0 / parry_center(n).inv_cd
+        _, _, cd = eigen_closed_form(solve_lambda(n).lam, n)
+        assert cd == 1.0 / parry_center(n).inv_cd
     with mpmath.workprec(120):
         lam = solve_lambda(20, 100).lam
         _, _, cd = eigen_closed_form(lam, 20)
@@ -160,18 +161,6 @@ def test_power_iteration_cross_check():
     for n in (3, 5, 9):
         lam = perron_by_power_iteration(build_adjacency(n))
         assert lam == pytest.approx(solve_lambda(n).lam, abs=1e-9)
-
-
-def test_chain_to_json_fields():
-    report = chain_to_json(3)
-    assert report["adjacency"] == [[0, 1, 0, 0, 0],
-                                   [0, 0, 1, 0, 0],
-                                   [1, 1, 0, 1, 1],
-                                   [0, 0, 1, 0, 0],
-                                   [0, 0, 0, 1, 0]]
-    assert report["margin"] == pytest.approx(MARGIN3, abs=1e-14)
-    assert report["h_K"] == pytest.approx(math.log(LAMBDA3), abs=1e-14)
-    assert len(report["cells"]) == 5
 
 
 def test_sample_chain_deterministic_and_stationary():

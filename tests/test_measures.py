@@ -209,18 +209,21 @@ def test_cylinder_overlap_basics():
         cylinder_overlap((0.5, 0.5), (0.5, 0.5), -1)
 
 
-def empirical_entropy(sample, block_len, alphabet_size=None):
-    """Per-symbol block entropy -(1/L) sum f log f over length-L blocks."""
-    sample, alphabet_size = measures._checked_sample(sample, block_len,
-                                                     alphabet_size)
+def empirical_entropy(sample, block_len, alphabet_size):
+    """Per-symbol block entropy -(1/L) sum f log f over length-L blocks,
+    from a sample where each block can appear about 100 times."""
+    if len(sample) < 100 * alphabet_size ** block_len:
+        raise ValueError("sample too short")
     return block_entropy(sample, block_len, alphabet_size) / block_len
 
 
 def test_block_entropy_estimators():
     rng = np.random.default_rng(20260814)
     iid = rng.integers(0, 2, size=200000)
-    assert entropy_rate_estimate(iid, 2) == pytest.approx(math.log(2), rel=5e-3)
-    assert empirical_entropy(iid, 2) == pytest.approx(math.log(2), rel=5e-3)
+    assert entropy_rate_estimate(iid, 2, 2) == pytest.approx(math.log(2),
+                                                           rel=5e-3)
+    assert empirical_entropy(iid, 2, 2) == pytest.approx(math.log(2),
+                                                       rel=5e-3)
     constant = np.zeros(1000, dtype=np.int64)
     assert block_entropy(constant, 3, 1) == 0.0
     # alternating sequence: rate 0 at block length 2, up to the window-count
@@ -267,7 +270,7 @@ def test_block_entropy_rejects_sample_shorter_than_block():
 
 
 @pytest.mark.parametrize("estimate", [
-    lambda sample, block_len: entropy_rate_estimate(sample, block_len),
+    lambda sample, block_len: entropy_rate_estimate(sample, block_len, 2),
     lambda sample, block_len: block_entropy(sample, block_len, 2),
 ], ids=["entropy_rate_estimate", "block_entropy"])
 @pytest.mark.parametrize("block_len", [0, -1])
