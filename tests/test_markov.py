@@ -1,12 +1,13 @@
 """Cell partition, adjacency matrix, Perron data and the maximal chain."""
 
+import json
 import math
 
 import mpmath
 import numpy as np
 import pytest
 
-from shrinkbeta import markov
+from shrinkbeta import cli, markov
 from shrinkbeta.algebra import solve_beta, solve_lambda
 from shrinkbeta.errors import (InequalityViolationError,
                                InvariantViolationError)
@@ -23,6 +24,7 @@ from shrinkbeta.markov import (adjacency_from_images, build_adjacency,
 H_IND3 = 1.3471974089195764
 MARGIN3 = 0.03909695220031417
 MU_CENTER3 = 0.42353085227270193
+LAMBDA3 = 1.7692923542386314
 CD3 = 0.07646914772729807   # 1/(lam^3 + 2*lam + 4)
 
 
@@ -161,6 +163,29 @@ def test_power_iteration_cross_check():
     for n in (3, 5, 9):
         lam = perron_by_power_iteration(build_adjacency(n))
         assert lam == pytest.approx(solve_lambda(n).lam, abs=1e-9)
+
+
+def test_chain_to_json_fields(capsys):
+    # the markov report is this module's chain and centre data, printed to
+    # 12 significant digits
+    assert cli.main(["markov", "--n", "3"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    chain, center = markov.parry_chain(3), parry_center(3)
+
+    def printed(x):
+        return float(f"{float(x):.12g}")
+
+    assert report["adjacency"] == [[0, 1, 0, 0, 0],
+                                   [0, 0, 1, 0, 0],
+                                   [1, 1, 0, 1, 1],
+                                   [0, 0, 1, 0, 0],
+                                   [0, 0, 0, 1, 0]]
+    assert report["adjacency"] == chain.adjacency.tolist()
+    assert report["margin"] == printed(MARGIN3) == printed(center.margin)
+    assert report["h_K"] == printed(math.log(LAMBDA3))
+    assert report["cd"] == printed(CD3)
+    assert report["p"] == [printed(x) for x in chain.p]
+    assert len(report["cells"]) == 5
 
 
 def test_sample_chain_deterministic_and_stationary():
