@@ -1,20 +1,24 @@
 """Time the bulk kernels.
 
 Runs the first-return statistics loop (`induced_stats`) and the Parry
-chain sampler (`chain_sample`) for a few problem sizes and prints the
-best wall times, each beside the peak of memory that `tracemalloc` traced
-in one more, untimed call (arrays the kernel allocates, including its
-result). Two last tables time work the kernels do not touch. One
-is the extended-precision work behind `entropy --n-range 3..60`:
+chain sampler (`chain_sample`) for a few problem sizes and prints each
+case's best wall time over `--repeat` runs, with their median and
+quartiles, beside the peak of memory that `tracemalloc` traced in one
+more, untimed call (arrays the kernel allocates, including its result).
+Kernel times on a shared machine can swing by 2x between runs, so read a
+"no slower" claim from the medians and quartiles, not from the best. Two
+last tables time work the kernels do not touch. One is the
+extended-precision work behind `entropy --n-range 3..60`:
 `solve_lambda` at 150 bits for n = 31..60 from an empty root cache, and
 `_inv_cd_direct` on those roots. The other is the depth-4 cylinder
 preimage intervals behind `verify`'s `depth4-cylinders-*` rows: one
 `measures.cylinder_preimage_table` per coin word, 16 (n-1)^4 words.
 
-Usage: python3 benchmarks/bench_kernels.py [--repeat 3] [--seed 1]
+Usage: python3 benchmarks/bench_kernels.py [--repeat 7] [--seed 1]
 """
 
 import argparse
+import statistics
 import time
 import tracemalloc
 from functools import partial
@@ -51,13 +55,22 @@ MP_NS = range(31, 61)
 MP_BITS = 150
 
 
-def _best(call, repeat):
-    best = float("inf")
+# the columns `_timed` fills
+TIMES = f"{'best [s]':>10} {'median [s]':>10} {'quartiles [s]':>19}"
+
+
+def _timed(call, repeat):
+    """Best, median and quartiles of `repeat` wall times of call()."""
+    times = []
     for _ in range(repeat):
         t0 = time.perf_counter()
         call()
-        best = min(best, time.perf_counter() - t0)
-    return best
+        times.append(time.perf_counter() - t0)
+    q1, _, q3 = (statistics.quantiles(times, n=4, method="inclusive")
+                 if repeat > 1 else times * 3)
+    quartiles = f"{q1:.4f}-{q3:.4f}"
+    return (f"{min(times):>10.4f} {statistics.median(times):>10.4f} "
+            f"{quartiles:>19}")
 
 
 def _traced_mb(call):
@@ -71,26 +84,24 @@ def _traced_mb(call):
 
 
 def run(repeat: int, seed: int) -> None:
-    print(f"induced_stats\n{'n':>4} {'points':>8} {'steps':>7} {'[s]':>14} "
+    print(f"induced_stats\n{'n':>4} {'points':>8} {'steps':>7} {TIMES} "
           f"{'peak [MB]':>10}")
     for n, points, steps in INDUCED_CASES:
         ctx = solve_beta(n)
         x0 = kernels.uniform_starts(seed, points, ctx.a + 1e-9,
                                     ctx.b - 1e-9)
         call = partial(kernels.induced_stats, ctx, x0, steps, seed)
-        best = _best(call, repeat)
-        print(f"{n:>4} {points:>8} {steps:>7} {best:>14.4f} "
+        print(f"{n:>4} {points:>8} {steps:>7} {_timed(call, repeat)} "
               f"{_traced_mb(call):>10.2f}")
 
-    print(f"chain_sample\n{'n':>4} {'steps':>16} {'[s]':>14} "
-          f"{'peak [MB]':>10}")
+    print(f"chain_sample\n{'n':>4} {'steps':>16} {TIMES} {'peak [MB]':>10}")
     for n, steps in CHAIN_CASES:
         chain = markov.build_chain(n)
         cum_rows = np.cumsum(chain.P_trans, axis=1)
         start_cum = np.cumsum(chain.p)
         call = partial(kernels.chain_sample, cum_rows, start_cum, steps, seed)
-        best = _best(call, repeat)
-        print(f"{n:>4} {steps:>16} {best:>14.4f} {_traced_mb(call):>10.2f}")
+        print(f"{n:>4} {steps:>16} {_timed(call, repeat)} "
+              f"{_traced_mb(call):>10.2f}")
 
     def solve_cold():
         algebra._solve_poly.cache_clear()
@@ -105,12 +116,12 @@ def run(repeat: int, seed: int) -> None:
                 markov._inv_cd_direct(lam, n)
 
     print(f"extended precision, n = {MP_NS.start}..{MP_NS.stop - 1} at "
-          f"{MP_BITS} bits\n{'case':>29} {'all n [s]':>14}")
+          f"{MP_BITS} bits, times for all n\n{'case':>29} {TIMES}")
     for name, call in (("solve_lambda (cold cache)", solve_cold),
                        ("_inv_cd_direct", inv_cd)):
-        print(f"{name:>29} {_best(call, repeat):>14.4f}")
+        print(f"{name:>29} {_timed(call, repeat)}")
 
-    print(f"depth-4 cylinder preimages\n{'n':>4} {'words':>8} {'[s]':>14}")
+    print(f"depth-4 cylinder preimages\n{'n':>4} {'words':>8} {TIMES}")
     for n in CYLINDER_NS:
         ctx = solve_beta(n)
         measures.cylinder_preimage_table((0, 0, 0, 0), ctx)  # warm caches
@@ -119,13 +130,13 @@ def run(repeat: int, seed: int) -> None:
             for coins in product((0, 1), repeat=4):
                 measures.cylinder_preimage_table(coins, ctx)
 
-        print(f"{n:>4} {16 * (n - 1) ** 4:>8} {_best(tables, repeat):>14.4f}")
+        print(f"{n:>4} {16 * (n - 1) ** 4:>8} {_timed(tables, repeat)}")
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--repeat", type=int, default=3,
-                        help="keep the best of this many runs")
+    parser.add_argument("--repeat", type=int, default=7,
+                        help="time each case this many times")
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args()
     run(args.repeat, args.seed)

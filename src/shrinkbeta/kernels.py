@@ -11,18 +11,43 @@ fast it comes:
 
 * `induced_stats` draws the coins of a block of steps for all points in
   one `_raw` draw of about `_DRAW_WORDS` words (word `j*steps + k` depends
-  only on the seed and that index). After each coin step it carries only
-  the points outside `[a, b]` through the rounds, as an ascending index
-  set that shrinks every round, and counts the points that leave per
-  round instead of keeping a return time per point. Rounds stay
-  synchronous over points while at least `_TAIL` are out and `n_cap` is
-  not passed, and check no guard: past `domain_max + guard`, `beta*x - 1`
-  moves away from its fixed point `domain_max`, and below `-guard`,
-  `beta*x` falls further, so an escaped point is still out when the
-  rounds end (a beta too small for `domain_max` skips the rounds). The
-  rest finish point by point in `_finish`, the one place that raises
+  only on the seed and that index). A coin step puts a point above `b`
+  (bit 0, as `beta*[a, b] = [b, beta*b]`) or below `a` (bit 1), and its
+  excursion runs on that one branch. In doubles, for n = 3..53, the upper
+  branch `fl(fl(beta*y) - 1)` strictly decreases on `(b, beta*b]`, the
+  lower branch `fl(beta*y)` strictly increases on `[beta*a - 1, a)`, and
+  neither crosses back over its boundary once past it (a Hypothesis test
+  checks all three). So the kernel keeps `w = x` above and `w = -x`
+  below, where both branches read `w = beta*w - d` with `d` = 1 or 0;
+  negation is exact, so no point's float operations change. Each step
+  runs R rounds of that over all points, with no compaction, into one
+  `(R + 2) x points` array: rows 0..R, then a row of -inf. A point's
+  landing round is the number of its rows with `w > t`, for `t = b` above
+  and `-a` below: one compare, one uint8 reduce and one flat `take` of
+  the landing values per step, and one `bincount` per draw.
+  The count is exact because each branch map is non-decreasing: given
+  `beta*b - 1 <= b` and `beta*a >= a` (checked per call), a point at or
+  past its boundary stays there, so the rows with `w > t` come first.
+  `R = min(n_cap, ceil(ln(points) / ln(beta)))` (and at most
+  `_MAX_ROUNDS`), so that under the paper's return-time law
+  `P(tau = t) = beta^-t` fewer than one point per step is expected still
+  out; the array grows with points, not with steps. A
+  point still out after R rounds reads the -inf row and goes on through
+  the compacted rounds below from round R + 1. A step in which a point
+  lands past `[a, b]` runs whole through them from round 1, and so does
+  every step when a check above fails, or when a single point or a beta
+  too small for `domain_max` gives R = 0.
+* The compacted rounds carry only the points outside `[a, b]`, as an
+  ascending index set that shrinks every round, and count the points that
+  leave per round. They stay synchronous over points while at least
+  `_TAIL` are out and `n_cap` is not passed, and check no guard: past
+  `domain_max + guard`, `beta*x - 1` moves away from its fixed point
+  `domain_max`, and below `-guard`, `beta*x` falls further, so an escaped
+  point is still out when the rounds end (that is why a beta too small
+  for `domain_max` skips the rounds over all points). The rest finish
+  point by point in `_finish`, the one place that raises
   `OrbitEscapeError` or `InvariantViolationError`; then a replay of the
-  step from its landing values raises the least (round, drift before
+  step from its coin-step values raises the least (round, drift before
   escape, index) of the points' first errors, which a round-by-round
   check meets first: no excursion reads another.
 * `chain_sample` turns each uniform into its bin among the distinct
@@ -35,14 +60,18 @@ fast it comes:
   checked on entry.
 
 `_DRAW_WORDS` sizes every draw, so a bulk loop's working set is about
-three arrays of 16,384 8-byte items (128 KiB each) whatever its length:
-`_raw` mixes each draw in place, in one work array and one shift
-temporary, and each loop frees one draw before it makes the next. At
+three arrays of 16,384 8-byte items (128 KiB each) whatever its length;
+`induced_stats` adds its rounds array and a few rows of points, which
+grow with points, not steps. `_raw` mixes each draw in place, in one work
+array and one shift temporary, and each loop frees one draw before it
+makes the next. At
 16,384 words a draw still amortizes numpy's per-call cost over 1024
 points times 16 steps or 16,384 chain steps, and larger draws only add
 memory. Word values depend on the index alone, so the draw size changes
 no output bit.
 """
+
+import math
 
 import numpy as np
 
@@ -58,6 +87,7 @@ _MIX1 = np.uint64(_bits._MIX1)
 _MIX2 = np.uint64(_bits._MIX2)
 _DRAW_WORDS = 16384  # words per `_raw` draw: 16 steps of 1024 points
 _TAIL = 64           # fewer points than this finish a step point by point
+_MAX_ROUNDS = 254    # round counts are uint8
 
 
 def _at_least(name, value, least):
@@ -69,8 +99,11 @@ def induced_stats(ctx, x0, steps: int, seed: int):
     """Bulk first-return statistics. Returns (hist, final_x); hist[t]
     counts returns at time t over all points and steps, of which
     there must be one or more; starts must be a 1-D array of finite
-    values in [a, b]."""
+    values in [a, b], and ctx a double-precision context."""
     _at_least("steps", steps, 1)
+    if not isinstance(ctx.beta, float):
+        raise ValueError(f"induced_stats runs in doubles; got a context "
+                         f"with beta of type {type(ctx.beta).__name__}")
     x0 = np.ascontiguousarray(x0, dtype=np.float64)
     if x0.ndim != 1:
         raise ValueError(f"x0 must be 1-D, got shape {x0.shape}")
@@ -100,34 +133,92 @@ def _induced(beta, a, b, domain_max, n_cap, x0, steps, seed):
     offsets = np.arange(count, dtype=np.uint64) * np.uint64(steps)
     block = max(1, _DRAW_WORDS // max(count, 1))
     outward = beta * low < low and beta * high - 1.0 > high
+    stays = beta * b - 1.0 <= b and beta * a >= a
     tail = _TAIL if outward else count + 1
+    rounds = (min(n_cap, _MAX_ROUNDS,
+                  math.ceil(math.log(max(count, 1)) / math.log(beta)))
+              if outward and stays else 0)
+    # per coin bit (column 0 or 1): the bit, then for the branch it starts
+    # the subtrahend d, the sign s of w = s*x, the threshold t that w stays
+    # above while out, and the least landing w
+    coin = np.array([[0.0, 1.0], [1.0, 0.0], [1.0, -1.0], [b, -a], [a, -b]])
+    aux = np.empty((5, count))
+    bit, d, s, t, lo = aux
+    w = np.empty((rounds + 2, count))
+    w[-1] = -np.inf  # the landing value of a point still out
+    rows = list(w)
+    away = np.empty((rounds + 1, count), dtype=bool)
+    lands = np.empty((block, count), dtype=np.uint8)  # landing rounds
+    starts = np.arange(rounds + 2) * count
+    cols = np.arange(count)
+    flat = np.empty(count, dtype=np.intp)
+    land = np.empty(count)
+    past = np.empty(count, dtype=bool)
+    # ufuncs take a 0-d array operand faster than a Python float
+    mul, sub, factor = np.multiply, np.subtract, np.array(beta)
     for k0 in range(0, steps, block):
         ks = np.arange(k0, min(k0 + block, steps), dtype=np.uint64)
         z = _raw(seed, STREAM_COIN, ks[:, None] + offsets)
         z >>= np.uint64(63)
-        for bits in z.astype(np.float64):
-            x = beta * x - bits
-            idx = ((x < a) | (x > b)).nonzero()[0]
-            hist[1] += count - idx.size
-            v = landed = x[idx]
-            rounds = 1
-            while idx.size >= tail and rounds <= n_cap:
-                v = beta * v - (v > b)
-                x[idx] = v
-                keep = ((v < a) | (v > b)).nonzero()[0]
-                hist[rounds + 1] += idx.size - keep.size
-                idx, v = idx[keep], v[keep]
-                rounds += 1
-            if idx.size:
-                try:
-                    x[idx] = _finish(beta, a, b, domain_max, n_cap, hist,
-                                     v.tolist(), rounds)
-                except (OrbitEscapeError, InvariantViolationError):
-                    _finish(beta, a, b, domain_max, n_cap, hist,
-                            landed.tolist(), 1)
-                    raise
+        for back, bits in zip(lands, z.view(np.int64)):
+            coin.take(bits, axis=1, out=aux, mode="clip")
+            mul(x, factor, out=x)
+            x -= bit
+            mul(x, s, out=rows[0])
+            try:
+                if rounds:
+                    for r in range(rounds):
+                        mul(rows[r], factor, out=rows[r + 1])
+                        sub(rows[r + 1], d, out=rows[r + 1])
+                    np.greater(w[:-1], t, out=away)
+                    np.add.reduce(away.view(np.uint8), axis=0, out=back)
+                    starts.take(back, out=flat, mode="clip")
+                    flat += cols
+                    w.take(flat, out=land, mode="clip")
+                    mul(land, s, out=x)
+                    if not np.count_nonzero(np.less(land, lo, out=past)):
+                        continue
+                    odd = past.nonzero()[0]
+                    if back.take(odd).min() > rounds:  # all still out
+                        _carry(beta, a, b, domain_max, n_cap, hist, x, tail,
+                               odd, rows[rounds].take(odd) * s.take(odd),
+                               rounds + 1)
+                        continue
+                    # a point landed past [a, b]: none of these landing
+                    # rounds counts, and the whole step runs below
+                    back[:] = rounds + 1
+                    mul(rows[0], s, out=x)
+                idx = ((x < a) | (x > b)).nonzero()[0]
+                hist[1] += count - idx.size
+                _carry(beta, a, b, domain_max, n_cap, hist, x, tail, idx,
+                       x[idx], 1)
+            except (OrbitEscapeError, InvariantViolationError):
+                y = rows[0] * s  # the positions after the coin step
+                _finish(beta, a, b, domain_max, n_cap, hist,
+                        y[(y < a) | (y > b)].tolist(), 1)
+                raise
+        if rounds:
+            landed = np.bincount(lands[:len(z)].ravel(), minlength=rounds + 2)
+            for r, c in enumerate(landed.tolist()[:-1], 1):
+                hist[r] += c
         del z, bits  # free this draw before the next one is made
     return np.array(hist, dtype=np.int64), x
+
+
+def _carry(beta, a, b, domain_max, n_cap, hist, x, tail, idx, v, rounds):
+    """Carry the points `idx` of x, whose values are `v`, from round
+    `rounds` to their returns: compacted numpy rounds while at least `tail`
+    are out and `n_cap` is not passed, then `_finish`."""
+    while idx.size >= tail and rounds <= n_cap:
+        v = beta * v - (v > b)
+        x[idx] = v
+        keep = ((v < a) | (v > b)).nonzero()[0]
+        hist[rounds + 1] += idx.size - keep.size
+        idx, v = idx[keep], v[keep]
+        rounds += 1
+    if idx.size:
+        x[idx] = _finish(beta, a, b, domain_max, n_cap, hist, v.tolist(),
+                         rounds)
 
 
 def _finish(beta, a, b, domain_max, n_cap, hist, v, rounds):

@@ -216,7 +216,7 @@ def _wing_sums(lam, n: int):
 def eigen_closed_form(lam, n: int):
     """Closed-form Perron eigenvectors, scaled to c = 1 and u.v = 1.
 
-    Returns (u, v, cd). Residuals are checked on infinity-norm-normalized
+    Returns (u, v); the scale cd is `1 / _inv_cd_direct(lam, n)`. Residuals are checked on infinity-norm-normalized
     copies (the raw entries grow like lam^(n-1), so only a scale-free
     residual is meaningful in fixed precision).
     """
@@ -227,13 +227,12 @@ def eigen_closed_form(lam, n: int):
         u_unit[i] = s / power
         u_unit[size - 1 - i] = u_unit[i]
     u_unit[n - 1] = lam
-    cd = 1 / _inv_cd_direct(lam, n)
-    u = cd * u_unit
+    u = (1 / _inv_cd_direct(lam, n)) * u_unit
     res_v, res_u = eigen_residuals(build_adjacency(n), lam, u, v)
     if res_v > _EIGEN_TOL or res_u > _EIGEN_TOL:
         raise InvariantViolationError(
             f"eigen residuals too large: right {res_v:.3e}, left {res_u:.3e}")
-    return u, v, cd
+    return u, v
 
 
 def eigen_residuals(s_mat, lam, u, v):
@@ -268,7 +267,7 @@ def build_chain(n: int) -> MarkovChain:
     lam = solve_lambda(n).lam
     cells = build_partition(ctx)
     adjacency = build_adjacency(n)
-    u, v, _ = eigen_closed_form(lam, n)
+    u, v = eigen_closed_form(lam, n)
     p, trans = parry_measure(adjacency, lam, u, v)
     for array in (adjacency, u, v, p, trans):
         array.setflags(write=False)

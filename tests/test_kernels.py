@@ -199,6 +199,14 @@ def test_induced_stats_rejects_no_steps(steps):
         kernels.induced_stats(CTX, np.array([1.45]), steps, 1)
 
 
+def test_induced_stats_rejects_an_extended_precision_context():
+    # the rounds write into float64 buffers; an mpf beta is refused, not
+    # cast
+    with pytest.raises(ValueError, match="runs in doubles; got a context "
+                                         "with beta of type mpf"):
+        kernels.induced_stats(solve_beta(3, 100), np.array([1.45]), 3, 1)
+
+
 def test_induced_stats_rejects_no_starts():
     with pytest.raises(ValueError, match="x0 size must be >= 1, got 0"):
         kernels.induced_stats(CTX, np.array([]), 3, 1)
@@ -489,13 +497,106 @@ def test_escape_at_round_one_beats_a_later_drift():
 
 
 def test_drift_in_the_tail_is_replayed():
-    # only points with return time 10 drift, too few for the rounds
+    # the rounds over all points stop at the cap, 8; the few points with
+    # return time 10 go on to `_finish` at round 9 and drift there
     args = _bulk_shape_args(8)
     got, calls = _finish_calls(args)
     assert got[0] == "InvariantViolationError"
-    assert calls[0][0] < kernels._TAIL and calls[0][1] <= 8
+    assert calls[0][0] < kernels._TAIL and calls[0][1] == 9
     assert calls[-1][1] == 1
     assert got == _outcome(reference_induced_stats, *args)
+
+
+def _carry_calls(args):
+    """The kernel's outcome, and (point count, first round) of each of its
+    `_carry` calls: the steps that left the rounds over all points."""
+    with mock.patch.object(kernels, "_carry",
+                           wraps=kernels._carry) as spy:
+        got = _outcome(kernels._induced, *args)
+    return got, [(len(c.args[8]), c.args[10]) for c in spy.call_args_list]
+
+
+def test_points_out_after_the_rounds_go_on_from_the_next_round():
+    # 64 points at n = 24 run ceil(ln 64 / ln beta) = 9 rounds over all
+    # points per step; fewer than one point per step, on average, has a
+    # return time above 10 and goes on from round 10
+    ctx = solve_beta(24)
+    rounds = math.ceil(math.log(64) / math.log(ctx.beta))
+    assert rounds == 9
+    x0 = kernels.uniform_starts(5, 64, ctx.a, ctx.b)
+    args = (ctx.beta, ctx.a, ctx.b, ctx.domain_max, ctx.n, x0, 40, 5)
+    got, calls = _carry_calls(args)
+    assert type(got[0]) is list and sum(got[0][rounds + 2:]) > 0
+    assert calls and {first for _, first in calls} == {rounds + 1}
+    assert got == _outcome(reference_induced_stats, *args)
+
+
+def test_landing_past_the_interval_replays_the_step():
+    # on [1/4, 1/2] at beta = 2, a point at 5/8 above b returns at 1/4 = a
+    # and one at 1/8 below a at 1/4; a point at 0.6 lands past [a, b] on
+    # either branch (at 0.2 above, or at once below), and the step runs
+    # from round 1 through the compacted rounds, where it returns at time 3
+    coins = kernels.coin_bits(3, 40).tolist()
+    landing = [0.125 if bit else 0.625 for bit in coins]
+    args = list(_landing_args(landing, 6))
+    args[2] = 0.5
+    got, calls = _carry_calls(args)
+    assert got[0] == [0, 0, 40, 0, 0, 0, 0, 0] and calls == []
+    assert got == _outcome(reference_induced_stats, *args)
+    landing[17] = 0.6
+    args[5] = _landing_args(landing, 6)[5]
+    got, calls = _carry_calls(args)
+    assert got[0] == [0, 0, 39, 1, 0, 0, 0, 0] and calls == [(40, 1)]
+    assert got == _outcome(reference_induced_stats, *args)
+
+
+def test_a_branch_that_crosses_back_runs_the_compacted_rounds():
+    # at beta = 3 on [1/4, 3/4] the upper branch takes b to 5/4, back above
+    # b, so a count of the rounds spent above b would misread a point that
+    # returns at b; such a beta runs each step through the compacted rounds
+    coins = kernels.coin_bits(3, 40).tolist()
+    x0 = np.array([0.5 if bit else 0.25 for bit in coins])  # to 1/2 or b
+    args = (3.0, 0.25, 0.75, 1.0, 6, x0, 1, 3)
+    got, calls = _carry_calls(args)
+    assert got[0] == [0, 40, 0, 0, 0, 0, 0, 0] and calls == [(0, 1)]
+    assert got == _outcome(reference_induced_stats, *args)
+
+
+def _ulps_from(y, toward, count=8):
+    """y and the `count` doubles after it toward `toward`."""
+    out = [y]
+    for _ in range(count):
+        out.append(math.nextafter(out[-1], toward))
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(3, 53), data=st.data())
+def test_each_branch_moves_away_from_its_side_and_never_back(n, data):
+    # the premise of the landing-round count in `kernels._induced`: in
+    # doubles the upper branch fl(fl(beta*y) - 1) strictly decreases on
+    # (b, beta*b] and the lower branch fl(beta*y) strictly increases on
+    # [beta*a - 1, a); past its boundary, neither crosses back
+    ctx = solve_beta(n)
+    beta, a, b = ctx.beta, ctx.a, ctx.b
+    top, bottom = beta * b, beta * a - 1.0
+    above = [data.draw(st.floats(b, top, exclude_min=True)),
+             *_ulps_from(math.nextafter(b, math.inf), math.inf),
+             *_ulps_from(top, -math.inf)]
+    below = [data.draw(st.floats(bottom, a, exclude_max=True)),
+             *_ulps_from(math.nextafter(a, -math.inf), -math.inf),
+             *_ulps_from(bottom, math.inf)]
+    landed = [data.draw(st.floats(bottom, top)), *_ulps_from(b, -math.inf),
+              *_ulps_from(a, math.inf)]
+    for y in above:
+        assert b < y <= top and beta * y - 1.0 < y, y.hex()
+    for y in below:
+        assert bottom <= y < a and beta * y > y, y.hex()
+    for y in landed:
+        if y <= b:
+            assert beta * y - 1.0 <= b, y.hex()
+        if y >= a:
+            assert beta * y >= a, y.hex()
 
 
 def test_escape_that_falls_back_matches_reference():

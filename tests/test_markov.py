@@ -79,8 +79,10 @@ def test_det_two_i_minus_s():
 
 def test_eigen_closed_form_n3():
     lam = solve_lambda(3).lam
-    u, v, cd = eigen_closed_form(lam, 3)
+    u, v = eigen_closed_form(lam, 3)
+    cd = 1 / _inv_cd_direct(lam, 3)
     assert cd == pytest.approx(CD3, abs=1e-15)
+    assert u[2] == cd * lam
     assert np.allclose(v, [1.0, lam, lam ** 2, lam, 1.0], rtol=0, atol=1e-15)
     res_r, res_l = eigen_residuals(build_adjacency(3), lam, u, v)
     assert res_r <= 1e-10 and res_l <= 1e-10
@@ -98,13 +100,17 @@ def test_chain_cd_is_parry_center_cd():
     # one computation of 1/(cd) behind the chain's eigenvectors and the
     # printed constants
     for n in range(3, 54):
-        _, _, cd = eigen_closed_form(solve_lambda(n).lam, n)
+        lam = solve_lambda(n).lam
+        u, _ = eigen_closed_form(lam, n)
+        cd = 1 / _inv_cd_direct(lam, n)
         assert cd == 1.0 / parry_center(n).inv_cd
+        assert u[n - 1] == cd * lam  # the centre entry of cd * u_unit
     with mpmath.workprec(120):
         lam = solve_lambda(20, 100).lam
-        _, _, cd = eigen_closed_form(lam, 20)
+        u, _ = eigen_closed_form(lam, 20)
+        cd = 1 / _inv_cd_direct(lam, 20)
         assert isinstance(cd, mpmath.mpf)
-        assert cd == 1 / _inv_cd_direct(lam, 20)
+        assert u[19] == cd * lam
 
 
 def test_parry_measure_frozen_n3():
@@ -248,7 +254,8 @@ def test_eigen_closed_form_matches_reference_sums(kind, n_values,
                                                   monkeypatch):
     def run(lam, n):
         with mpmath.workprec(150):
-            u, v, cd = eigen_closed_form(lam, n)
+            u, v = eigen_closed_form(lam, n)
+            cd = 1 / _inv_cd_direct(lam, n)
         return [_bits(x) for x in u], [_bits(x) for x in v], _bits(cd)
 
     for n in n_values:
@@ -263,7 +270,8 @@ def test_eigen_closed_form_matches_reference_sums(kind, n_values,
 def test_eigen_closed_form_stays_in_mpf():
     # an mpf lam gives mpf eigenvectors normalised in mpf, not doubles
     with mpmath.workprec(150):
-        u, v, cd = eigen_closed_form(LAMBDAS[40], 40)
+        u, v = eigen_closed_form(LAMBDAS[40], 40)
+        cd = 1 / _inv_cd_direct(LAMBDAS[40], 40)
         assert all(isinstance(x, mpmath.mpf) for x in u)
         assert isinstance(cd, mpmath.mpf)
         assert abs(mpmath.fsum(u * v) - 1) <= mpmath.mpf(2) ** -140
