@@ -31,25 +31,23 @@ fast it comes:
   `R = min(n_cap, ceil(ln(points) / ln(beta)))` (and at most
   `_MAX_ROUNDS`), so that under the paper's return-time law
   `P(tau = t) = beta^-t` fewer than one point per step is expected still
-  out; the array grows with points, not with steps. A
-  point still out after R rounds reads the -inf row and goes on through
-  the compacted rounds below from round R + 1. A step in which a point
-  lands past `[a, b]` runs whole through them from round 1, and so does
-  every step when a check above fails, or when a single point or a beta
-  too small for `domain_max` gives R = 0.
-* The compacted rounds carry only the points outside `[a, b]`, as an
-  ascending index set that shrinks every round, and count the points that
-  leave per round. They stay synchronous over points while at least
-  `_TAIL` are out and `n_cap` is not passed, and check no guard: past
-  `domain_max + guard`, `beta*x - 1` moves away from its fixed point
-  `domain_max`, and below `-guard`, `beta*x` falls further, so an escaped
-  point is still out when the rounds end (that is why a beta too small
-  for `domain_max` skips the rounds over all points). The rest finish
-  point by point in `_finish`, the one place that raises
-  `OrbitEscapeError` or `InvariantViolationError`; then a replay of the
-  step from its coin-step values raises the least (round, drift before
-  escape, index) of the points' first errors, which a round-by-round
-  check meets first: no excursion reads another.
+  out; the array grows with points, not with steps. The rounds check no
+  guard: `outward` (checked per call) makes `beta*x - 1` rise past
+  `domain_max + guard` and `beta*x` fall below `-guard`, so an escaped
+  point is still out when they end.
+* `_finish` runs leftover points one by one to their returns: from round
+  R + 1 those still out after R rounds (they read the -inf row), and from
+  round 1 every point of a step with R = 0 (one point, a beta too small
+  for `domain_max`, or a failed check above) or in which a point lands
+  past `[a, b]`. Only starts outside `[a, b]`, which `induced_stats`
+  refuses, land past: at n = 3..53, `fl(fl(beta*b') - 1) >= a` for the
+  double `b'` after b and `fl(beta*a') <= b` for the double `a'` before
+  a (a test checks both), so by monotonicity every landing is in `[a, b]`.
+  It is the one place that raises `OrbitEscapeError` or
+  `InvariantViolationError`; then a replay of the step from its
+  coin-step values raises the least (round, drift before escape, index)
+  of the points' first errors, which a round-by-round check meets first:
+  no excursion reads another.
 * `chain_sample` turns each uniform into its bin among the distinct
   values of all cumulative rows with one `searchsorted`, then walks a
   `(state, bin) -> next state` table over Python lists, one draw of
@@ -86,7 +84,6 @@ _GOLDEN = np.uint64(_bits._GOLDEN)
 _MIX1 = np.uint64(_bits._MIX1)
 _MIX2 = np.uint64(_bits._MIX2)
 _DRAW_WORDS = 16384  # words per `_raw` draw: 16 steps of 1024 points
-_TAIL = 64           # fewer points than this finish a step point by point
 _MAX_ROUNDS = 254    # round counts are uint8
 
 
@@ -131,12 +128,11 @@ def _induced(beta, a, b, domain_max, n_cap, x0, steps, seed):
     hist = [0] * (n_cap + 2)
     low, high = -_DRIFT_GUARD, domain_max + _DRIFT_GUARD
     offsets = np.arange(count, dtype=np.uint64) * np.uint64(steps)
-    block = max(1, _DRAW_WORDS // max(count, 1))
+    block = max(1, _DRAW_WORDS // count)
     outward = beta * low < low and beta * high - 1.0 > high
     stays = beta * b - 1.0 <= b and beta * a >= a
-    tail = _TAIL if outward else count + 1
     rounds = (min(n_cap, _MAX_ROUNDS,
-                  math.ceil(math.log(max(count, 1)) / math.log(beta)))
+                  math.ceil(math.log(count) / math.log(beta)))
               if outward and stays else 0)
     # per coin bit (column 0 or 1): the bit, then for the branch it starts
     # the subtrahend d, the sign s of w = s*x, the threshold t that w stays
@@ -180,9 +176,9 @@ def _induced(beta, a, b, domain_max, n_cap, x0, steps, seed):
                         continue
                     odd = past.nonzero()[0]
                     if back.take(odd).min() > rounds:  # all still out
-                        _carry(beta, a, b, domain_max, n_cap, hist, x, tail,
-                               odd, rows[rounds].take(odd) * s.take(odd),
-                               rounds + 1)
+                        v = rows[rounds].take(odd) * s.take(odd)
+                        x[odd] = _finish(beta, a, b, domain_max, n_cap, hist,
+                                         v.tolist(), rounds + 1)
                         continue
                     # a point landed past [a, b]: none of these landing
                     # rounds counts, and the whole step runs below
@@ -190,8 +186,8 @@ def _induced(beta, a, b, domain_max, n_cap, x0, steps, seed):
                     mul(rows[0], s, out=x)
                 idx = ((x < a) | (x > b)).nonzero()[0]
                 hist[1] += count - idx.size
-                _carry(beta, a, b, domain_max, n_cap, hist, x, tail, idx,
-                       x[idx], 1)
+                x[idx] = _finish(beta, a, b, domain_max, n_cap, hist,
+                                 x[idx].tolist(), 1)
             except (OrbitEscapeError, InvariantViolationError):
                 y = rows[0] * s  # the positions after the coin step
                 _finish(beta, a, b, domain_max, n_cap, hist,
@@ -203,22 +199,6 @@ def _induced(beta, a, b, domain_max, n_cap, x0, steps, seed):
                 hist[r] += c
         del z, bits  # free this draw before the next one is made
     return np.array(hist, dtype=np.int64), x
-
-
-def _carry(beta, a, b, domain_max, n_cap, hist, x, tail, idx, v, rounds):
-    """Carry the points `idx` of x, whose values are `v`, from round
-    `rounds` to their returns: compacted numpy rounds while at least `tail`
-    are out and `n_cap` is not passed, then `_finish`."""
-    while idx.size >= tail and rounds <= n_cap:
-        v = beta * v - (v > b)
-        x[idx] = v
-        keep = ((v < a) | (v > b)).nonzero()[0]
-        hist[rounds + 1] += idx.size - keep.size
-        idx, v = idx[keep], v[keep]
-        rounds += 1
-    if idx.size:
-        x[idx] = _finish(beta, a, b, domain_max, n_cap, hist, v.tolist(),
-                         rounds)
 
 
 def _finish(beta, a, b, domain_max, n_cap, hist, v, rounds):

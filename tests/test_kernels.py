@@ -317,22 +317,20 @@ def _outcome(fn, *args):
     return hist.tolist(), [v.hex() for v in xf.tolist()]
 
 
-# small blocks and tails cross block and tail boundaries at small sizes;
-# 1 and 10**6 keep every round in numpy or every round scalar
-KERNEL_SIZES = dict(words=st.sampled_from([1, 7, 64, 16384]),
-                    tail=st.sampled_from([1, 2, 16, 10 ** 6]))
+# small draws cross block boundaries at small sizes
+KERNEL_SIZES = dict(words=st.sampled_from([1, 7, 64, 16384]))
 
 
 @settings(max_examples=60, deadline=None)
-@given(n=st.integers(3, 12), seed=st.integers(0, 2 ** 64 - 1),
+@given(n=st.integers(3, 24), seed=st.integers(0, 2 ** 64 - 1),
        points=st.integers(1, 300), steps=st.integers(1, 200), **KERNEL_SIZES)
-def test_induced_stats_matches_reference(n, seed, points, steps, words,
-                                         tail):
+def test_induced_stats_matches_reference(n, seed, points, steps, words):
+    # from n = 11 on, 64 points run R = 9 < n rounds and points still out
+    # go on to `_finish`
     ctx = solve_beta(n)
     x0 = kernels.uniform_starts(seed, points, ctx.a, ctx.b)
     args = (ctx.beta, ctx.a, ctx.b, ctx.domain_max, ctx.n, x0, steps, seed)
-    with mock.patch.object(kernels, "_DRAW_WORDS", words), \
-            mock.patch.object(kernels, "_TAIL", tail):
+    with mock.patch.object(kernels, "_DRAW_WORDS", words):
         got = _outcome(kernels._induced, *args)
     assert type(got[0]) is list
     assert got == _outcome(reference_induced_stats, *args)
@@ -369,9 +367,8 @@ def faulty_inputs(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(args=faulty_inputs(), **KERNEL_SIZES)
-def test_induced_stats_errors_match_reference(args, words, tail):
-    with mock.patch.object(kernels, "_DRAW_WORDS", words), \
-            mock.patch.object(kernels, "_TAIL", tail):
+def test_induced_stats_errors_match_reference(args, words):
+    with mock.patch.object(kernels, "_DRAW_WORDS", words):
         got = _outcome(kernels._induced, *args)
     assert got == _outcome(reference_induced_stats, *args)
 
@@ -389,9 +386,8 @@ def dyadic_inputs(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(args=dyadic_inputs(), **KERNEL_SIZES)
-def test_induced_stats_boundary_hits_match_reference(args, words, tail):
-    with mock.patch.object(kernels, "_DRAW_WORDS", words), \
-            mock.patch.object(kernels, "_TAIL", tail):
+def test_induced_stats_boundary_hits_match_reference(args, words):
+    with mock.patch.object(kernels, "_DRAW_WORDS", words):
         got = _outcome(kernels._induced, *args)
     assert got == _outcome(reference_induced_stats, *args)
 
@@ -421,37 +417,55 @@ def _landing_args(landing, n_cap, seed=3):
     return 2.0, 0.25, 0.75, 1.0, n_cap, x0, 1, seed
 
 
+# (below a, above b) landing pairs: a point takes the first on coin 1 and
+# the second on coin 0, so every start is inside [a, b]
 def _escape_at(r, scale):
-    """A landing below a that doubles past the guard band at round r:
-    scale in (1, 2) sets the escape value, about -scale * guard."""
-    return -scale * dynamics._DRIFT_GUARD / 2 ** r
+    """Landings that double away past the guard band at round r: scale in
+    (1, 2) sets the escape value, about -scale * guard or 1 + scale *
+    guard."""
+    e = scale * dynamics._DRIFT_GUARD / 2 ** r
+    return -e, 1.0 + e
 
 
-# enough points returning at time 2 that the first round stays in numpy
-# at the default `_TAIL`; the bad points then finish on their own
-FILL = [0.125] * kernels._TAIL
+def _slow(k):
+    """Landings that k doublings take to a or b: return time k + 1."""
+    return 0.25 / 2 ** k, 1.0 - 0.25 / 2 ** k
+
+
+def _round_order_args(pairs, fill, n_cap, seed=3):
+    """`_landing_args` for the bad landing pairs with `fill` points between
+    them that return at time 2."""
+    gap = [(0.125, 0.875)] * fill
+    pairs = gap + [q for p in pairs for q in [p, *gap]]
+    coins = kernels.coin_bits(seed, len(pairs)).tolist()
+    return _landing_args([p[1 - c] for p, c in zip(pairs, coins)], n_cap,
+                         seed)
+
+
+# the batch size sets R = min(n_cap, ceil(log2(points))) rounds over all
+# points: fill 64, 2 and 0 give R = min(n_cap, 8), min(n_cap, 3) and 1,
+# so the bad points reach `_finish` after their errors or before them
 ROUND_ORDER_CASES = {
     # the higher-index point escapes at round 4, the lower one at round 5
-    "later-point-escapes-first": ([*FILL, _escape_at(5, 1.25), *FILL,
-                                   _escape_at(4, 1.5), *FILL], 12,
-                                  OrbitEscapeError),
-    # 0 doubles to 0 forever: a drift at round n + 1 = 7 before an
-    # escape at round 3
-    "drift-beside-earlier-escape": ([*FILL, 0.0, *FILL,
-                                     _escape_at(3, 1.5)], 6,
+    "later-point-escapes-first": ([_escape_at(5, 1.25), _escape_at(4, 1.5)],
+                                  12, OrbitEscapeError),
+    # 0 and 1 are fixed: a drift at round n + 1 = 7 before an escape at
+    # round 3
+    "drift-beside-earlier-escape": ([(0.0, 1.0), _escape_at(3, 1.5)], 6,
                                     OrbitEscapeError),
-    # 1 and 0 are both fixed: two drifts, and the lower index names it
-    "two-drifts": ([*FILL, 1.0, *FILL, 0.0], 3, InvariantViolationError),
+    # two drifts at round n + 1 = 4, at different values: the lower index
+    # names it
+    "two-drifts": ([_slow(6), _slow(5)], 3, InvariantViolationError),
 }
 
 
-@pytest.mark.parametrize("tail", [kernels._TAIL, 2, 10 ** 6])
+@pytest.mark.parametrize("fill", [64, 2, 0])
 @pytest.mark.parametrize("case", ROUND_ORDER_CASES)
-def test_errors_follow_round_order_not_point_order(case, tail):
-    landing, n_cap, error = ROUND_ORDER_CASES[case]
-    args = _landing_args(landing, n_cap)
-    with mock.patch.object(kernels, "_TAIL", tail):
-        got = _outcome(kernels._induced, *args)
+def test_errors_follow_round_order_not_point_order(case, fill):
+    pairs, n_cap, error = ROUND_ORDER_CASES[case]
+    args = _round_order_args(pairs, fill, n_cap)
+    assert ((args[5] >= args[1]) & (args[5] <= args[2])).all()
+    got = _outcome(kernels._induced, *args)
     assert got[0] == error.__name__
     assert got == _outcome(reference_induced_stats, *args)
 
@@ -474,12 +488,12 @@ def _finish_calls(args):
 
 
 def test_drift_at_the_round_cap_is_replayed():
-    # about 140 of 1024 points are still out after 4 rounds, so the
-    # synchronous rounds reach the cap and hand all of them on
+    # 139 of 1024 points are still out after 4 rounds, so the rounds over
+    # all points reach the cap and hand all of them on to `_finish`
     args = _bulk_shape_args(4)
     got, calls = _finish_calls(args)
     assert got[0] == "InvariantViolationError"
-    assert calls[0][0] > kernels._TAIL and calls[0][1] == 5
+    assert calls[0] == (139, 5)
     assert len(calls) == 2 and calls[1][1] == 1
     assert got == _outcome(reference_induced_stats, *args)
 
@@ -502,18 +516,20 @@ def test_drift_in_the_tail_is_replayed():
     args = _bulk_shape_args(8)
     got, calls = _finish_calls(args)
     assert got[0] == "InvariantViolationError"
-    assert calls[0][0] < kernels._TAIL and calls[0][1] == 9
+    assert calls[0] == (10, 9)
     assert calls[-1][1] == 1
     assert got == _outcome(reference_induced_stats, *args)
 
 
-def _carry_calls(args):
-    """The kernel's outcome, and (point count, first round) of each of its
-    `_carry` calls: the steps that left the rounds over all points."""
-    with mock.patch.object(kernels, "_carry",
-                           wraps=kernels._carry) as spy:
-        got = _outcome(kernels._induced, *args)
-    return got, [(len(c.args[8]), c.args[10]) for c in spy.call_args_list]
+@pytest.mark.parametrize("n", [4, 10])
+def test_bulk_batches_finish_every_excursion_in_the_rounds(n):
+    # a `simulate --samples` batch: 1024 points run R = n rounds per step
+    ctx = solve_beta(n)
+    x0 = kernels.uniform_starts(n, 1024, ctx.a, ctx.b)
+    args = (ctx.beta, ctx.a, ctx.b, ctx.domain_max, ctx.n, x0, 100, n)
+    got, calls = _finish_calls(args)
+    assert type(got[0]) is list and calls == []
+    assert got == _outcome(reference_induced_stats, *args)
 
 
 def test_points_out_after_the_rounds_go_on_from_the_next_round():
@@ -525,7 +541,7 @@ def test_points_out_after_the_rounds_go_on_from_the_next_round():
     assert rounds == 9
     x0 = kernels.uniform_starts(5, 64, ctx.a, ctx.b)
     args = (ctx.beta, ctx.a, ctx.b, ctx.domain_max, ctx.n, x0, 40, 5)
-    got, calls = _carry_calls(args)
+    got, calls = _finish_calls(args)
     assert type(got[0]) is list and sum(got[0][rounds + 2:]) > 0
     assert calls and {first for _, first in calls} == {rounds + 1}
     assert got == _outcome(reference_induced_stats, *args)
@@ -535,29 +551,29 @@ def test_landing_past_the_interval_replays_the_step():
     # on [1/4, 1/2] at beta = 2, a point at 5/8 above b returns at 1/4 = a
     # and one at 1/8 below a at 1/4; a point at 0.6 lands past [a, b] on
     # either branch (at 0.2 above, or at once below), and the step runs
-    # from round 1 through the compacted rounds, where it returns at time 3
+    # from round 1 through `_finish`, where it returns at time 3
     coins = kernels.coin_bits(3, 40).tolist()
     landing = [0.125 if bit else 0.625 for bit in coins]
     args = list(_landing_args(landing, 6))
     args[2] = 0.5
-    got, calls = _carry_calls(args)
+    got, calls = _finish_calls(args)
     assert got[0] == [0, 0, 40, 0, 0, 0, 0, 0] and calls == []
     assert got == _outcome(reference_induced_stats, *args)
     landing[17] = 0.6
     args[5] = _landing_args(landing, 6)[5]
-    got, calls = _carry_calls(args)
+    got, calls = _finish_calls(args)
     assert got[0] == [0, 0, 39, 1, 0, 0, 0, 0] and calls == [(40, 1)]
     assert got == _outcome(reference_induced_stats, *args)
 
 
-def test_a_branch_that_crosses_back_runs_the_compacted_rounds():
+def test_a_branch_that_crosses_back_finishes_point_by_point():
     # at beta = 3 on [1/4, 3/4] the upper branch takes b to 5/4, back above
     # b, so a count of the rounds spent above b would misread a point that
-    # returns at b; such a beta runs each step through the compacted rounds
+    # returns at b; such a beta runs each step through `_finish`
     coins = kernels.coin_bits(3, 40).tolist()
     x0 = np.array([0.5 if bit else 0.25 for bit in coins])  # to 1/2 or b
     args = (3.0, 0.25, 0.75, 1.0, 6, x0, 1, 3)
-    got, calls = _carry_calls(args)
+    got, calls = _finish_calls(args)
     assert got[0] == [0, 40, 0, 0, 0, 0, 0, 0] and calls == [(0, 1)]
     assert got == _outcome(reference_induced_stats, *args)
 
@@ -576,9 +592,13 @@ def test_each_branch_moves_away_from_its_side_and_never_back(n, data):
     # the premise of the landing-round count in `kernels._induced`: in
     # doubles the upper branch fl(fl(beta*y) - 1) strictly decreases on
     # (b, beta*b] and the lower branch fl(beta*y) strictly increases on
-    # [beta*a - 1, a); past its boundary, neither crosses back
+    # [beta*a - 1, a); past its boundary, neither crosses back. The first
+    # landing from just past either boundary is inside [a, b], so by
+    # monotonicity no start inside [a, b] lands past it
     ctx = solve_beta(n)
     beta, a, b = ctx.beta, ctx.a, ctx.b
+    assert beta * math.nextafter(b, math.inf) - 1.0 >= a
+    assert beta * math.nextafter(a, -math.inf) <= b
     top, bottom = beta * b, beta * a - 1.0
     above = [data.draw(st.floats(b, top, exclude_min=True)),
              *_ulps_from(math.nextafter(b, math.inf), math.inf),
@@ -605,8 +625,7 @@ def test_escape_that_falls_back_matches_reference():
     # and comes back to [a, b] later in the step
     args = (1.2, CTX.a, CTX.b, CTX.domain_max, 40,
             np.array([1.5, 1.5, 1.5, 4.0]), 1, 1)
-    with mock.patch.object(kernels, "_TAIL", 1):
-        got = _outcome(kernels._induced, *args)
+    got = _outcome(kernels._induced, *args)
     assert got[0] == "OrbitEscapeError"
     assert got == _outcome(reference_induced_stats, *args)
 
