@@ -13,7 +13,8 @@ large n, where the roots crowd the golden ratio and double-precision
 residuals flatten; doubles resolve lambda_n up to n = 53 and beta_n up to
 n = 77, and larger n are refused without a precision.  The extended
 bisection takes each sign from an exact integer, so only the Newton steps
-round.
+round. mpmath is imported only where extended precision runs, so a
+double-precision process never loads it.
 """
 
 from __future__ import annotations
@@ -22,8 +23,6 @@ import contextlib
 import functools
 import math
 from dataclasses import dataclass
-
-import mpmath
 
 from .errors import InvariantViolationError, PrecisionLimitError
 
@@ -92,6 +91,7 @@ def arithmetic(precision: int | None):
     context), else mpmath at that significand width in bits."""
     if precision is None:
         return contextlib.nullcontext()
+    import mpmath
     return mpmath.workprec(precision)
 
 
@@ -157,6 +157,7 @@ def _solve_poly(n: int, factor, precision: int | None):
             hi = mid
         else:
             lo = mid
+    import mpmath
     with mpmath.workprec(precision + 20):
         x = mpmath.mpf(lo + hi) / 2 ** (_BISECT_STEPS + 1)
         for _ in range(40):

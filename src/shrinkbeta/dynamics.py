@@ -122,22 +122,29 @@ def return_time(state: PointState, ctx: AlgebraicBeta) -> ReturnTimeResult:
     iterate back in [a, b] (t = 1 included: deletion of such points is the
     induced map's concern, not this function's). t beyond n+1 signals
     numeric drift and raises.
+
+    The excursion runs `step`'s arithmetic and checks on the bare value:
+    one coin step, then free steps until the orbit is back in [a, b].
     """
-    if not (ctx.a <= state.x <= ctx.b):
-        raise ValueError(f"return_time needs x in [a, b], got {state.x!r}")
-    cur = state
+    a, b, beta = ctx.a, ctx.b, ctx.beta
+    x = state.x
+    if not (a <= x <= b):
+        raise ValueError(f"return_time needs x in [a, b], got {x!r}")
+    _check_in_domain(x, ctx)
+    x = beta * x - state.omega.peek()
     boundary = False
-    t = 0
-    while True:
-        cur, _ = step(cur, ctx)
-        t += 1
-        if t > 1 and (cur.x == ctx.a or cur.x == ctx.b):
-            boundary = True  # free step hit an endpoint bitwise-exactly
-        if ctx.a <= cur.x <= ctx.b:
-            return ReturnTimeResult(t=t, state=cur, boundary_hit=boundary)
+    t = 1
+    while not (a <= x <= b):
         if t > ctx.n + 1:
             raise InvariantViolationError(
                 f"return time exceeded n+1 = {ctx.n + 1} from x={state.x!r}")
+        _check_in_domain(x, ctx)
+        x = beta * x if x < a else beta * x - 1
+        t += 1
+        if x == a or x == b:
+            boundary = True  # free step hit an endpoint bitwise-exactly
+    return ReturnTimeResult(t=t, state=PointState(state.omega.advanced(), x),
+                            boundary_hit=boundary)
 
 
 def _undeleted_bit(state: PointState, ctx: AlgebraicBeta) -> int:

@@ -44,10 +44,11 @@ fast it comes:
   double `b'` after b and `fl(beta*a') <= b` for the double `a'` before
   a (a test checks both), so by monotonicity every landing is in `[a, b]`.
   It is the one place that raises `OrbitEscapeError` or
-  `InvariantViolationError`; then a replay of the step from its
-  coin-step values raises the least (round, drift before escape, index)
-  of the points' first errors, which a round-by-round check meets first:
-  no excursion reads another.
+  `InvariantViolationError`. A run from round 1 raises the least (round,
+  drift before escape, index) of the points' first errors, which a
+  round-by-round check meets first: no excursion reads another. The
+  rounds check no guard, so when the call from round R + 1 raises, a
+  replay of the step from its coin-step values finds that error.
 * `chain_sample` turns each uniform into its bin among the distinct
   values of all cumulative rows with one `searchsorted`, then walks a
   `(state, bin) -> next state` table over Python lists, one draw of
@@ -161,38 +162,38 @@ def _induced(beta, a, b, domain_max, n_cap, x0, steps, seed):
             mul(x, factor, out=x)
             x -= bit
             mul(x, s, out=rows[0])
-            try:
-                if rounds:
-                    for r in range(rounds):
-                        mul(rows[r], factor, out=rows[r + 1])
-                        sub(rows[r + 1], d, out=rows[r + 1])
-                    np.greater(w[:-1], t, out=away)
-                    np.add.reduce(away.view(np.uint8), axis=0, out=back)
-                    starts.take(back, out=flat, mode="clip")
-                    flat += cols
-                    w.take(flat, out=land, mode="clip")
-                    mul(land, s, out=x)
-                    if not np.count_nonzero(np.less(land, lo, out=past)):
-                        continue
-                    odd = past.nonzero()[0]
-                    if back.take(odd).min() > rounds:  # all still out
-                        v = rows[rounds].take(odd) * s.take(odd)
+            if rounds:
+                for r in range(rounds):
+                    mul(rows[r], factor, out=rows[r + 1])
+                    sub(rows[r + 1], d, out=rows[r + 1])
+                np.greater(w[:-1], t, out=away)
+                np.add.reduce(away.view(np.uint8), axis=0, out=back)
+                starts.take(back, out=flat, mode="clip")
+                flat += cols
+                w.take(flat, out=land, mode="clip")
+                mul(land, s, out=x)
+                if not np.count_nonzero(np.less(land, lo, out=past)):
+                    continue
+                odd = past.nonzero()[0]
+                if back.take(odd).min() > rounds:  # all still out
+                    v = rows[rounds].take(odd) * s.take(odd)
+                    try:
                         x[odd] = _finish(beta, a, b, domain_max, n_cap, hist,
                                          v.tolist(), rounds + 1)
-                        continue
-                    # a point landed past [a, b]: none of these landing
-                    # rounds counts, and the whole step runs below
-                    back[:] = rounds + 1
-                    mul(rows[0], s, out=x)
-                idx = ((x < a) | (x > b)).nonzero()[0]
-                hist[1] += count - idx.size
-                x[idx] = _finish(beta, a, b, domain_max, n_cap, hist,
-                                 x[idx].tolist(), 1)
-            except (OrbitEscapeError, InvariantViolationError):
-                y = rows[0] * s  # the positions after the coin step
-                _finish(beta, a, b, domain_max, n_cap, hist,
-                        y[(y < a) | (y > b)].tolist(), 1)
-                raise
+                    except (OrbitEscapeError, InvariantViolationError):
+                        y = rows[0] * s  # the positions after the coin step
+                        _finish(beta, a, b, domain_max, n_cap, hist,
+                                y[(y < a) | (y > b)].tolist(), 1)
+                        raise
+                    continue
+                # a point landed past [a, b]: none of these landing
+                # rounds counts, and the whole step runs below
+                back[:] = rounds + 1
+                mul(rows[0], s, out=x)
+            idx = ((x < a) | (x > b)).nonzero()[0]
+            hist[1] += count - idx.size
+            x[idx] = _finish(beta, a, b, domain_max, n_cap, hist,
+                             x[idx].tolist(), 1)
         if rounds:
             landed = np.bincount(lands[:len(z)].ravel(), minlength=rounds + 2)
             for r, c in enumerate(landed.tolist()[:-1], 1):

@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import mpmath
 import numpy as np
 
 from .algebra import (AlgebraicBeta, _check_n, arithmetic, solve_beta,
@@ -333,7 +332,10 @@ def parry_center(n: int, precision: int | None = None) -> ParryCenter:
 @functools.lru_cache(maxsize=None, typed=True)
 def _parry_center(n: int, precision: int | None) -> ParryCenter:
     lam = solve_lambda(n, precision).lam
-    log = math.log if precision is None else mpmath.log
+    if precision is None:
+        log = math.log
+    else:
+        from mpmath import log
     with arithmetic(precision):
         inv_cd = _inv_cd_direct(lam, n)
         h_induced = log(lam) * inv_cd / lam ** n

@@ -362,7 +362,8 @@ def cylinder_overlap(law1, law2, depth: int) -> float:
     terms, every term comes from math.exp and the terms are added left to
     right in that order, so the result is bit-identical to a scalar
     recursion over the same count vectors. The cost is one term per count
-    vector, C(depth + A - 1, A - 1) for A letters.
+    vector, C(depth + A - 1, A - 1) for A letters; terms too small to
+    change the running sum are dropped before `math.exp`.
 
     By Cauchy-Schwarz the result is at most (sum_j sqrt(law1_j*law2_j))**depth,
     so distinct laws drive it to zero geometrically. Used with the geometric
@@ -410,9 +411,14 @@ def cylinder_overlap(law1, law2, depth: int) -> float:
             lp[at] += count * logp[slot]
             lq[at] += count * logq[slot]
         exponent = lg + np.minimum(lp, lq)
-        # exp underflows to 0 below -745 anyway
+        # exp underflows to 0 below -745 anyway. Every term is positive, so
+        # the running sum never falls below total, and a term under half
+        # an ulp of total rounds away wherever it sits in the batch; the
+        # 1e-9 margin covers the error of math.exp (ulp(0.0) / 2 rounds to
+        # 0, hence the log of 2 apart)
+        absorbed = math.log(math.ulp(total)) - math.log(2.0) - 1e-9
         return _add_in_order(total, list(map(
-            math.exp, exponent[exponent > -745.0].tolist())))
+            math.exp, exponent[exponent > max(-745.0, absorbed)].tolist())))
 
     total, batch, terms = 0.0, [], 0
     for prefix in prefixes(0, depth, lg_fact[depth], 0.0, 0.0):

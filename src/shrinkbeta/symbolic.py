@@ -36,10 +36,6 @@ class SymbolicWord:
     def __len__(self):
         return len(self.letters)
 
-    def shifted(self) -> "SymbolicWord":
-        """The shift map: the word without its first letter."""
-        return SymbolicWord(self.letters[1:])
-
     def digits(self) -> list:
         out = []
         for (c, t) in self.letters:

@@ -1,8 +1,10 @@
 """Packaging: the in-place build step that the benchmark runs before
-every run, the names the package exports, and that every public name has
-a reader in the package."""
+every run, the names the package exports, that every public name has
+a reader in the package, and what a cold CLI process imports."""
 
 import ast
+import json
+import os
 import shutil
 import subprocess
 import sys
@@ -53,3 +55,43 @@ def test_every_public_name_is_read_in_the_package():
               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
               and not node.name.startswith("_") and node.name not in named]
     assert unread == []
+
+
+# runs in a fresh interpreter: prints, per command group, whether mpmath
+# was loaded after it, then the extended-precision command's exit code and
+# stdout sha256
+COLD_PATH = """
+import contextlib, hashlib, io, json, sys
+import shrinkbeta.cli as cli
+loaded = ["mpmath" in sys.modules]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+loaded.append("mpmath" in sys.modules)
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    rc = cli.main(sys.argv[2].split())
+loaded.append("mpmath" in sys.modules)
+print(json.dumps([loaded, rc, hashlib.sha256(out.getvalue().encode()).hexdigest()]))
+"""
+
+
+def test_double_precision_commands_never_load_mpmath():
+    # mpmath is imported only where extended precision runs
+    doubles = [["constants", "--n", "5"],
+               ["simulate", "--n", "4", "--samples", "32768", "--points",
+                "64"],
+               ["markov", "--n", "4"],
+               ["parry", "--n", "3", "--samples", "2500"],
+               ["verify", "--suite", "gls", "--n", "3"]]
+    extended = "constants --n 40 --precision 200 --format json"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", COLD_PATH,
+                           json.dumps(doubles), extended], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    loaded, rc, digest = json.loads(proc.stdout)
+    assert loaded == [False, False, True]
+    pins = json.loads((ROOT / "tests" / "artifact_digests.json").read_text())
+    assert [rc, digest] == pins[extended]

@@ -1,12 +1,17 @@
 """Scalar map, first-return orbits and the coin stream."""
 
+import dataclasses
+import math
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from shrinkbeta.algebra import solve_beta
-from shrinkbeta.dynamics import (CoinStream, PointState, induced_step, orbit,
-                                 return_time, step)
-from shrinkbeta.errors import (DeletedPointError, OrbitEscapeError,
-                               StreamExhaustedError)
+from shrinkbeta.dynamics import (CoinStream, PointState, ReturnTimeResult,
+                                 induced_step, orbit, return_time, step)
+from shrinkbeta.errors import (DeletedPointError, InvariantViolationError,
+                               OrbitEscapeError, StreamExhaustedError)
 
 CTX = solve_beta(3)
 
@@ -144,3 +149,71 @@ def test_advanced_moves_only_the_cursor():
 def test_explicit_stream_validates_bits():
     with pytest.raises(ValueError):
         CoinStream.explicit([0, 2])
+
+
+def reference_return_time(state, ctx):
+    """The former loop: `step` on a PointState until the orbit is back in
+    [a, b]."""
+    if not (ctx.a <= state.x <= ctx.b):
+        raise ValueError(f"return_time needs x in [a, b], got {state.x!r}")
+    cur = state
+    boundary = False
+    t = 0
+    while True:
+        cur, _ = step(cur, ctx)
+        t += 1
+        if t > 1 and (cur.x == ctx.a or cur.x == ctx.b):
+            boundary = True
+        if ctx.a <= cur.x <= ctx.b:
+            return ReturnTimeResult(t=t, state=cur, boundary_hit=boundary)
+        if t > ctx.n + 1:
+            raise InvariantViolationError(
+                f"return time exceeded n+1 = {ctx.n + 1} from x={state.x!r}")
+
+
+def _return_outcome(fn, state, ctx):
+    """A return's time, state (x as float.hex, and its coins) and boundary
+    flag, or its error's class name and message."""
+    try:
+        res = fn(state, ctx)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    return (res.t, res.state.x.hex(), res.state.omega, res.boundary_hit)
+
+
+@st.composite
+def return_inputs(draw):
+    """Starts in and just around [a, b], at n = 3..53: the endpoints and
+    their neighbouring doubles, with either coin bit or none; contexts
+    with beta, domain_max or the cap n perturbed, so that orbits drift
+    or escape (a cap n of 1 to 4 drifts early at large n)."""
+    ctx = solve_beta(draw(st.integers(3, 53)))
+    a, b = ctx.a, ctx.b
+    x = draw(st.one_of(
+        st.floats(a, b),
+        st.sampled_from([a, b, math.nextafter(a, b), math.nextafter(b, a),
+                         math.nextafter(a, 0.0), math.nextafter(b, 2.0)])))
+    perturbed = {"beta": st.floats(0.95, 1.05).map(lambda f: ctx.beta * f),
+                 "domain_max": st.floats(a, ctx.domain_max),
+                 "n": st.integers(1, 4)}
+    field = draw(st.sampled_from([None, None, *perturbed]))
+    if field:
+        ctx = dataclasses.replace(ctx, **{field: draw(perturbed[field])})
+    bits = draw(st.sampled_from([[0], [1], [0], [1], []]))
+    return PointState(CoinStream.explicit(bits), x), ctx
+
+
+def _from_endpoint(n, end, bit):
+    ctx = solve_beta(n)
+    return PointState(CoinStream.explicit([bit]), getattr(ctx, end)), ctx
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=return_inputs())
+# free steps that land bitwise-exactly on a and on b
+@example(case=_from_endpoint(6, "a", 1))
+@example(case=_from_endpoint(8, "b", 1))
+def test_return_time_matches_step_by_step_reference(case):
+    state, ctx = case
+    assert _return_outcome(return_time, state, ctx) == \
+        _return_outcome(reference_return_time, state, ctx)

@@ -470,6 +470,18 @@ def test_errors_follow_round_order_not_point_order(case, fill):
     assert got == _outcome(reference_induced_stats, *args)
 
 
+@pytest.mark.parametrize("case", ROUND_ORDER_CASES)
+def test_a_step_run_whole_from_round_one_raises_without_a_replay(case):
+    # with no rounds, each step runs whole through `_finish` from round 1,
+    # whose error is already the one a round-by-round check meets first
+    pairs, n_cap, error = ROUND_ORDER_CASES[case]
+    args = _round_order_args(pairs, 64, n_cap)
+    with mock.patch.object(kernels, "_MAX_ROUNDS", 0):
+        got, calls = _finish_calls(args)
+    assert got[0] == error.__name__ and calls == [(194, 1)]
+    assert got == _outcome(reference_induced_stats, *args)
+
+
 def _bulk_shape_args(n_cap, seed=10):
     """1024 starts at n = 10, as in a default bulk `simulate` batch, under
     the round cap `n_cap`: return times above n_cap + 1 drift."""

@@ -31,7 +31,6 @@ def test_word_digit_blocks():
     # letter (c, t) contributes c followed by t-1 copies of 1-c
     assert w.digits() == [1, 0, 0, 1, 1]
     assert len(w) == 2
-    assert w.shifted().letters == ((0, 3),)
 
 
 def test_word_validation():
@@ -55,7 +54,7 @@ def test_encode_shift_is_induced_step():
         state = PointState(CoinStream.seeded(1000 + j), float(x))
         word = encode(state, 6, CTX)
         after = induced_step(state, CTX)
-        assert encode(after, 5, CTX).letters == word.shifted().letters
+        assert encode(after, 5, CTX).letters == word.letters[1:]
 
 
 @st.composite
@@ -85,7 +84,7 @@ def test_encode_shift_is_induced_step_property(case):
     ctx, state, k = case
     word = _encode_or_skip(state, k, ctx)
     after = induced_step(state, ctx)
-    assert encode(after, k - 1, ctx).letters == word.shifted().letters
+    assert encode(after, k - 1, ctx).letters == word.letters[1:]
 
 
 @settings(max_examples=100, deadline=None)
