@@ -16,8 +16,8 @@ from .errors import (DeletedPointError, InequalityViolationError,
                      InvariantViolationError, OrbitEscapeError,
                      PrecisionLimitError, ShrinkBetaError,
                      StreamExhaustedError)
-from .gls import (GlsPartition, expected_return_time, greedy_breakpoints,
-                  lazy_breakpoints, return_time_law, return_time_vector)
+from .gls import (expected_return_time, greedy_breakpoints, lazy_breakpoints,
+                  return_time_law)
 from .markov import (MarkovChain, build_adjacency, build_chain,
                      build_partition, check_inequality, eigen_closed_form,
                      parry_center, parry_measure, sample_chain)
@@ -33,9 +33,8 @@ __all__ = [
     "ShrinkBetaError", "OrbitEscapeError", "StreamExhaustedError",
     "DeletedPointError", "InvariantViolationError", "InequalityViolationError",
     "PrecisionLimitError",
-    "GlsPartition", "expected_return_time",
-    "greedy_breakpoints", "lazy_breakpoints", "return_time_law",
-    "return_time_vector", "MarkovChain", "build_adjacency", "build_chain",
+    "expected_return_time", "greedy_breakpoints", "lazy_breakpoints",
+    "return_time_law", "MarkovChain", "build_adjacency", "build_chain",
     "build_partition", "check_inequality", "eigen_closed_form",
     "parry_center", "parry_measure", "sample_chain",
     "InducedMeasureSpec", "entropy_rate_estimate", "kac_lift",

@@ -9,58 +9,21 @@ outcome, is a full-branch piecewise-affine map of [a, b]:
   acts on (d_i, d_{i+1}] with slope beta^(i+2), return time i+2, and offset
   1 + beta + ... + beta^i.
 
+Each side is one read-only float array of shape (4, n-1), its branch
+table: rows lo, hi, slope, offset (domain [lo, hi], action x -> slope*x -
+offset) and column t - 2 for return time t. In x order the greedy columns
+run t = n..2 and the lazy ones t = 2..n.
+
 Branch lengths are (b-a) * beta^(-t) for return time t, so the normalized
 branch-length vector is exactly the return-time law (beta^-2, ..., beta^-n).
 """
 
 from __future__ import annotations
 
-import bisect
-from dataclasses import dataclass
+import numpy as np
 
 from .algebra import AlgebraicBeta
 from .errors import InvariantViolationError
-
-_IMAGE_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class GlsPartition:
-    """Breakpoints plus per-branch affine data for one side of the map.
-
-    Every branch applies x -> slope*x - offset; offsets are beta powers on
-    the greedy side and geometric sums of beta powers on the lazy side.
-    """
-
-    side: str
-    a: float
-    b: float
-    breakpoints: tuple
-    slopes: tuple
-    offsets: tuple
-    return_times: tuple
-
-    def branch_of(self, x) -> int:
-        if self.side == "greedy":
-            if not (self.a <= x < self.b):
-                raise ValueError(f"greedy branch lookup needs x in [a, b), got {x!r}")
-            return bisect.bisect_right(self.breakpoints, x) - 1
-        if not (self.a < x <= self.b):
-            raise ValueError(f"lazy branch lookup needs x in (a, b], got {x!r}")
-        return bisect.bisect_left(self.breakpoints, x) - 1
-
-    def apply(self, x):
-        """Apply the branch containing x; returns (image, return_time)."""
-        i = self.branch_of(x)
-        y = self.slopes[i] * x - self.offsets[i]
-        if not (self.a - _IMAGE_TOL <= y <= self.b + _IMAGE_TOL):
-            raise InvariantViolationError(
-                f"{self.side} branch {i} image {y!r} left [a, b] at x={x!r}")
-        return y, self.return_times[i]
-
-    def branch_lengths(self) -> tuple:
-        bp = self.breakpoints
-        return tuple(bp[i + 1] - bp[i] for i in range(len(bp) - 1))
 
 
 def _check_increasing(points, side):
@@ -71,8 +34,8 @@ def _check_increasing(points, side):
 
 
 def _greedy_points(ctx: AlgebraicBeta) -> list:
-    """The greedy breakpoints, checked to increase. The lazy side and the
-    return-time vector read them without building a partition."""
+    """The greedy breakpoints, checked to increase. The lazy side reads them
+    without building the greedy table."""
     beta, a, b, n = ctx.beta, ctx.a, ctx.b, ctx.n
     cs = [a]
     for j in range(1, n - 1):
@@ -82,24 +45,30 @@ def _greedy_points(ctx: AlgebraicBeta) -> list:
     return cs
 
 
-def greedy_breakpoints(ctx: AlgebraicBeta) -> GlsPartition:
-    """Greedy-side partition: c_1 = a, interior points beta^j*a - beta^(j-1)
-    + 1/beta (j = 1..n-2), c_n = b."""
-    beta, a, b, n = ctx.beta, ctx.a, ctx.b, ctx.n
+def _table(rows):
+    table = np.array(rows)
+    table.setflags(write=False)
+    return table
+
+
+def greedy_breakpoints(ctx: AlgebraicBeta) -> np.ndarray:
+    """Greedy-side branch table. Breakpoints c_1 = a, interior points
+    beta^j*a - beta^(j-1) + 1/beta (j = 1..n-2), c_n = b; the cell
+    [c_{n-t}, c_{n-t+1}) has return time t, slope beta^t and offset
+    beta^(t-1)."""
+    beta, n = ctx.beta, ctx.n
     cs = _greedy_points(ctx)
-    slopes = tuple(beta ** (n - i) for i in range(n - 1))
-    offsets = tuple(beta ** (n - i - 1) for i in range(n - 1))
-    rts = tuple(n - i for i in range(n - 1))
-    return GlsPartition(side="greedy", a=a, b=b, breakpoints=tuple(cs),
-                        slopes=slopes, offsets=offsets, return_times=rts)
+    ts = range(2, n + 1)
+    return _table([[cs[n - t] for t in ts], [cs[n - t + 1] for t in ts],
+                   [beta ** t for t in ts], [beta ** (t - 1) for t in ts]])
 
 
-def lazy_breakpoints(ctx: AlgebraicBeta) -> GlsPartition:
-    """Lazy-side partition, mirrored from the greedy one.
+def lazy_breakpoints(ctx: AlgebraicBeta) -> np.ndarray:
+    """Lazy-side branch table, mirrored from the greedy breakpoints.
 
     Interior points come from the reflection d_i = 1/(beta-1) - c_{n-i+1};
-    the endpoints are pinned to a and b exactly so both partitions share
-    them bitwise. Offsets use the exact geometric-sum form 1+...+beta^i
+    the endpoints are pinned to a and b exactly so both tables share
+    them bitwise. Offsets use the exact geometric-sum form 1+...+beta^(t-2)
     (the reflected form domain_max*(1-slope) + greedy offset equals it only
     up to a couple of ulps).
     """
@@ -110,24 +79,9 @@ def lazy_breakpoints(ctx: AlgebraicBeta) -> GlsPartition:
         ds.append(ctx.domain_max - cs[n - 1 - j])
     ds.append(b)
     _check_increasing(ds, "lazy")
-    slopes = tuple(beta ** (i + 2) for i in range(n - 1))
-    offsets = tuple(sum(beta ** k for k in range(i + 1)) for i in range(n - 1))
-    rts = tuple(i + 2 for i in range(n - 1))
-    return GlsPartition(side="lazy", a=a, b=b, breakpoints=tuple(ds),
-                        slopes=slopes, offsets=offsets, return_times=rts)
-
-
-def return_time_vector(ctx: AlgebraicBeta) -> dict:
-    """Return-time law {t: pi_t} from greedy branch lengths, pi_t =
-    |branch_t|/(b-a), keyed t = n..2 in branch order.
-
-    Equals beta^(-t) up to rounding; the total is 1 because
-    sum_{t=2..n} beta^(-t) = 1 is the defining equation of beta.
-    """
-    cs = _greedy_points(ctx)
-    width = ctx.b - ctx.a
-    # greedy branch i has return time n - i
-    return {ctx.n - i: (cs[i + 1] - cs[i]) / width for i in range(ctx.n - 1)}
+    ts = range(2, n + 1)
+    return _table([ds[:-1], ds[1:], [beta ** t for t in ts],
+                   [sum(beta ** k for k in range(t - 1)) for t in ts]])
 
 
 def return_time_law(ctx: AlgebraicBeta) -> dict:

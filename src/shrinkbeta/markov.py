@@ -215,9 +215,10 @@ def _wing_sums(lam, n: int):
 def eigen_closed_form(lam, n: int):
     """Closed-form Perron eigenvectors, scaled to c = 1 and u.v = 1.
 
-    Returns (u, v); the scale cd is `1 / _inv_cd_direct(lam, n)`. Residuals are checked on infinity-norm-normalized
-    copies (the raw entries grow like lam^(n-1), so only a scale-free
-    residual is meaningful in fixed precision).
+    Returns (u, v); the scale cd is `1 / _inv_cd_direct(lam, n)`.
+    Residuals are checked on infinity-norm-normalized copies (the raw
+    entries grow like lam^(n-1), so only a scale-free residual is
+    meaningful in fixed precision).
     """
     size = 2 * n - 1
     v = np.array([lam ** min(i, size - 1 - i) for i in range(size)])

@@ -12,6 +12,11 @@ quadrature. Supported induced measures on Omega x [a, b]:
   adaptive refinement of symbolic cylinders, whose preimages are nested
   intervals shrinking geometrically.
 
+Every evaluator reads the induced map from one branch table per coin,
+built by gls and cached per context in _branches: a read-only (4, n-1)
+float array with rows lo, hi, slope, offset and column t - 2 for return
+time t (coin 1 the greedy side, coin 0 the lazy side).
+
 Cylinder preimages compose inverse branches from the last letter back;
 cylinder_preimage_table composes a coin word's shared suffixes only once.
 
@@ -91,25 +96,10 @@ def bernoulli_mass(bits, p: float) -> float:
 
 
 @functools.lru_cache(maxsize=None)
-def partitions(ctx: AlgebraicBeta) -> tuple:
-    """The greedy and lazy partitions of ctx, built once per context and
-    shared (they are frozen, with tuple fields)."""
-    return greedy_breakpoints(ctx), lazy_breakpoints(ctx)
-
-
-@functools.lru_cache(maxsize=None)
 def _branches(ctx: AlgebraicBeta) -> dict:
-    """coin -> read-only rows lo, hi, slope, offset of the induced map's
-    branches (domain [lo, hi], action x -> slope*x - offset), column t - 2
-    for return time t. Coin 1 takes the greedy side, coin 0 the lazy side."""
-    table = {}
-    for coin, part in zip((1, 0), partitions(ctx)):
-        bp = part.breakpoints
-        rows = np.array([bp[:-1], bp[1:], part.slopes, part.offsets])
-        table[coin] = rows[:, [part.return_times.index(t)
-                               for t in range(2, ctx.n + 1)]]
-        table[coin].setflags(write=False)
-    return table
+    """coin -> the branch table of ctx's induced map (see gls), built once
+    per context: coin 1 takes the greedy side, coin 0 the lazy side."""
+    return {1: greedy_breakpoints(ctx), 0: lazy_breakpoints(ctx)}
 
 
 def cylinder_preimage_table(coins, ctx: AlgebraicBeta):

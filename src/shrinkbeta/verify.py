@@ -8,6 +8,7 @@ sampled inputs come from fixed seeded streams.
 
 from __future__ import annotations
 
+import bisect
 import math
 import sys
 from dataclasses import asdict, dataclass
@@ -19,8 +20,8 @@ import numpy as np
 from . import kernels, markov, measures, symbolic
 from .algebra import eval_word, solve_beta, solve_lambda
 from .dynamics import CoinStream, PointState, return_time
-from .errors import PrecisionLimitError
-from .gls import expected_return_time, return_time_law, return_time_vector
+from .errors import InvariantViolationError, PrecisionLimitError
+from .gls import expected_return_time, return_time_law
 
 _DEFAULT_SEED = 20260814
 # the markov suite's entropy-margin row covers n = 3.._N_INEQUALITY
@@ -57,38 +58,70 @@ def _flag_row(check, n, params, value, threshold, want_above) -> CheckRow:
                     passed=bool(ok))
 
 
+# an induced image further than this outside [a, b] means a broken table
+_IMAGE_TOL = 1e-9
+
+
+def _x_order(ctx):
+    """coin -> lists breakpoints, slopes, offsets, return times of the
+    induced map's branches in x order. The branch tables' columns run
+    t = 2..n, which is x order on the lazy side (coin 0) and the reverse
+    of it on the greedy side (coin 1)."""
+    sides = {}
+    for coin, table in measures._branches(ctx).items():
+        step = -1 if coin else 1
+        lo, hi, slopes, offsets = table[:, ::step].tolist()
+        sides[coin] = (lo + hi[-1:], slopes, offsets,
+                       list(range(2, ctx.n + 1))[::step])
+    return sides
+
+
+def _induced_branch(sides, coin, x):
+    """(image, return time) of x under the coin's branch that contains it.
+    Greedy cells are [c_i, c_{i+1}), lazy cells (d_i, d_{i+1}]."""
+    bp, slopes, offsets, ts = sides[coin]
+    i = (bisect.bisect_right if coin else bisect.bisect_left)(bp, x) - 1
+    if not 0 <= i < len(ts):
+        raise ValueError(f"x={x!r} lies in no branch cell of coin {coin}")
+    y = slopes[i] * x - offsets[i]
+    if not (bp[0] - _IMAGE_TOL <= y <= bp[-1] + _IMAGE_TOL):
+        raise InvariantViolationError(
+            f"coin {coin} branch t={ts[i]} image {y!r} left [a, b] at x={x!r}")
+    return y, ts[i]
+
+
 def gls_suite(n_values=(3, 4, 5, 8, 12, 20), seed=_DEFAULT_SEED):
     rows = []
     for n in n_values:
         ctx = solve_beta(n)
         width = ctx.b - ctx.a
-        gp, lp = measures.partitions(ctx)
-        for part in (gp, lp):
-            side = part.side
-            gaps = part.branch_lengths()
+        sides = _x_order(ctx)
+        for coin, side in ((1, "greedy"), (0, "lazy")):
+            bp, slopes, offsets, ts = sides[coin]
+            gaps = [x1 - x0 for x0, x1 in zip(bp, bp[1:])]
             rows.append(_flag_row("breakpoints-increasing", n, f"side={side}",
                                   min(gaps), 0.0, want_above=True))
             dev = max(abs(length / width - ctx.beta ** (-t))
-                      for length, t in zip(gaps, part.return_times))
+                      for length, t in zip(gaps, ts))
             # rounding in the cumulative breakpoint sums grows mildly with n
             rows.append(_row("branch-length-law", n, f"side={side}",
                              dev, 0.0, 1e-11))
             # full branches: each maps its cell onto [a, b] endpoint-to-endpoint
             surj = 0.0
             for i in range(n - 1):
-                lo = part.slopes[i] * part.breakpoints[i] - part.offsets[i]
-                hi = part.slopes[i] * part.breakpoints[i + 1] - part.offsets[i]
+                lo = slopes[i] * bp[i] - offsets[i]
+                hi = slopes[i] * bp[i + 1] - offsets[i]
                 surj = max(surj, abs(lo - ctx.a), abs(hi - ctx.b))
             rows.append(_row("branch-surjectivity", n, f"side={side}",
                              surj, 0.0, 1e-9))
             rows.append(_row("slope-reciprocal-sum", n, f"side={side}",
-                             sum(1.0 / s for s in part.slopes), 1.0, 1e-12))
+                             sum(1.0 / s for s in slopes), 1.0, 1e-12))
         # piecewise maps agree with the coin-driven first-return orbit
         xs = kernels.uniform_starts(seed + n, 40, ctx.a + 1e-9, ctx.b - 1e-9)
         worst_img, worst_rt = 0.0, 0
         for x in xs:
-            for bit, part in ((1, gp), (0, lp)):
-                y, t = part.apply(float(x))
+            for bit in (1, 0):
+                y, t = _induced_branch(sides, bit, float(x))
                 res = return_time(
                     PointState(CoinStream.explicit([bit]), float(x)), ctx)
                 worst_img = max(worst_img, abs(y - res.state.x))
@@ -106,11 +139,14 @@ def gls_suite(n_values=(3, 4, 5, 8, 12, 20), seed=_DEFAULT_SEED):
         # below S*m*m with m < 3.1 (3.1). In all 16.1 u = 8.05 eps.
         m = ctx.domain_max
         tol = 8.05 * sys.float_info.epsilon * ctx.beta ** n * m
-        refl = max(abs(lp.apply(float(x))[0]
-                       - (m - gp.apply(m - float(x))[0])) for x in xs)
+        refl = max(abs(_induced_branch(sides, 0, float(x))[0]
+                       - (m - _induced_branch(sides, 1, m - float(x))[0]))
+                   for x in xs)
         rows.append(_row("lazy-greedy-reflection", n, "", refl, 0.0, tol))
         law = return_time_law(ctx)
-        pi = return_time_vector(ctx)
+        # the greedy branch lengths, keyed t = n..2 in x order
+        bp, _, _, ts = sides[1]
+        pi = {t: (x1 - x0) / width for t, x0, x1 in zip(ts, bp, bp[1:])}
         dev = max(abs(pi[t] - law[t]) for t in law)
         rows.append(_row("return-law-from-geometry", n, "", dev, 0.0, 1e-11))
         rows.append(_row("expected-return-time", n, "",
@@ -373,7 +409,7 @@ SUITES = {
 
 # largest n each suite resolves in doubles. From n = 25 the measures
 # suite's depth-3 cylinder preimages fall below an ulp; its failures at
-# n = 13..24 are rows, not refusals
+# n = 11, 13, 14 and 16..24 are rows, not refusals (ROADMAP item 12)
 _DOUBLE_N_MAX = {"gls": 21, "symbolic": 18, "markov": 27, "measures": 24}
 
 

@@ -65,14 +65,16 @@ def test_bernoulli_mass():
 
 
 def test_single_letter_cylinders_are_branch_cells():
-    gp = greedy_breakpoints(CTX)
-    lp = lazy_breakpoints(CTX)
+    greedy = greedy_breakpoints(CTX)
+    lazy = lazy_breakpoints(CTX)
     # coin 1 walks the greedy branch with that return time, coin 0 the lazy;
     # entry 0 of a one-letter table is return time 2
     lo, hi = cylinder_preimage_table((1,), CTX)
-    assert (lo[0], hi[0]) == (gp.breakpoints[1], CTX.b)
+    assert (lo[0], hi[0]) == (greedy[0, 0], CTX.b)
+    assert [lo.tolist(), hi.tolist()] == greedy[:2].tolist()
     lo, hi = cylinder_preimage_table((0,), CTX)
-    assert (lo[0], hi[0]) == (CTX.a, lp.breakpoints[1])
+    assert (lo[0], hi[0]) == (CTX.a, lazy[1, 0])
+    assert [lo.tolist(), hi.tolist()] == lazy[:2].tolist()
 
 
 def pushforward(coins, rts, p, ctx, law=None):
@@ -561,11 +563,17 @@ def test_cylinder_overlap_chunks_match_recursion(law1, law2, depth, chunk):
 
 def test_partitions_are_built_once_per_context():
     ctx = solve_beta(11)
-    measures.partitions.cache_clear()
-    spy = mock.Mock(wraps=greedy_breakpoints)
-    with mock.patch.object(measures, "greedy_breakpoints", spy):
-        first = measures.partitions(ctx)
-        assert measures.partitions(ctx) is first
-    assert spy.call_count == 1
-    assert [part.side for part in first] == ["greedy", "lazy"]
-    assert first == (greedy_breakpoints(ctx), lazy_breakpoints(ctx))
+    measures._branches.cache_clear()
+    greedy = mock.Mock(wraps=greedy_breakpoints)
+    lazy = mock.Mock(wraps=lazy_breakpoints)
+    with mock.patch.object(measures, "greedy_breakpoints", greedy), \
+            mock.patch.object(measures, "lazy_breakpoints", lazy):
+        first = measures._branches(ctx)
+        assert measures._branches(ctx) is first
+        cylinder_preimage_table((0, 1), ctx)
+        verify.gls_suite(n_values=(11,))
+    assert (greedy.call_count, lazy.call_count) == (1, 1)
+    assert first[1].tobytes() == greedy_breakpoints(ctx).tobytes()
+    assert first[0].tobytes() == lazy_breakpoints(ctx).tobytes()
+    with pytest.raises(ValueError):
+        cylinder_preimage_table((0, 2), ctx)

@@ -156,12 +156,18 @@ def test_table_raises_on_an_empty_entry():
 def test_branch_table_is_read_only_and_ordered_by_return_time():
     ctx = solve_beta(4)
     branches = measures._branches(ctx)
-    greedy, lazy = measures.partitions(ctx)
-    for coin, part in ((1, greedy), (0, lazy)):
-        for i, t in enumerate(part.return_times):
-            assert tuple(branches[coin][:, t - 2]) == (
-                part.breakpoints[i], part.breakpoints[i + 1],
-                part.slopes[i], part.offsets[i])
+    ts = range(2, ctx.n + 1)
+    greedy_offsets = [ctx.beta ** (t - 1) for t in ts]
+    lazy_offsets = [sum(ctx.beta ** k for k in range(t - 1)) for t in ts]
+    for coin, offsets in ((1, greedy_offsets), (0, lazy_offsets)):
+        lo, hi, slopes, offs = branches[coin].tolist()
+        assert slopes == [ctx.beta ** t for t in ts]
+        assert offs == offsets
+        # the cells tile [a, b]: t = n..2 from a on the greedy side, t =
+        # 2..n on the lazy side
+        if coin:
+            lo, hi = lo[::-1], hi[::-1]
+        assert lo[0] == ctx.a and hi[-1] == ctx.b and lo[1:] == hi[:-1]
         with pytest.raises(ValueError):
             branches[coin][0, 0] = 0.0
 
