@@ -68,9 +68,11 @@ def _poly(n: int, factor):
         return p * x - factor * s
 
     def fprime(x):
-        d = n * x ** (n - 1)
-        for i in range(1, n - 1):
-            d = d - factor * i * x ** (i - 1)
+        # Horner on n x^(n-1) - factor * sum_{i=1}^{n-2} i x^(i-1), whose
+        # x^(n-2) coefficient is 0
+        d = n * x
+        for i in range(n - 2, 0, -1):
+            d = d * x - factor * i
         return d
 
     return f, fprime
@@ -78,10 +80,17 @@ def _poly(n: int, factor):
 
 # narrowest mpmath significand the extended-precision paths accept
 MIN_PRECISION = 100
+# bits the extended roots carry beyond the requested precision
+_GUARD_BITS = 20
 # extended-precision bisection steps before Newton takes over
 _BISECT_STEPS = 80
 # largest n each root has in doubles: above it lambda_n rounds to 2.0 and
-# beta_n to the golden ratio
+# beta_n to the golden ratio. 2 - lambda_n = 2 / (lambda^(n-1) (lambda + 1))
+# is 2^(2-n) / 3 up to a factor 1 + O(n 2^-n), so in a w-bit significand,
+# where half an ulp below 2 is 2^-w, lambda_n rounds below 2 exactly while
+# n <= w: 53 in doubles, precision + _GUARD_BITS in extended precision.
+# phi - beta_n = beta^(1-n) / (beta + 1/phi) rounds onto fl(phi) from
+# n = 78 (ROADMAP item 14).
 _BETA_DOUBLE_N_MAX = 77
 _LAMBDA_DOUBLE_N_MAX = 53
 
@@ -100,7 +109,10 @@ def _check_n(n) -> None:
         raise ValueError(f"n must be an integer >= 3, got {n!r}")
 
 
-def _check_args(n, precision, name: str, double_n_max: int) -> None:
+def _check_args(n, precision, name: str, double_n_max: int,
+                width_limited: bool = False) -> None:
+    """Refuse n that the arithmetic cannot resolve; width_limited: the
+    root's extended limit is its working width (lambda_n, see above)."""
     # runs before the root cache: 3.0 and np.int64(3) hash like 3
     _check_n(n)
     if precision is None:
@@ -112,6 +124,11 @@ def _check_args(n, precision, name: str, double_n_max: int) -> None:
     elif precision < MIN_PRECISION:
         raise ValueError(
             f"extended precision needs >= {MIN_PRECISION} bits")
+    elif width_limited and n > precision + _GUARD_BITS:
+        raise PrecisionLimitError(
+            f"{name} at precision {precision} supports n <= "
+            f"{precision + _GUARD_BITS}, got n={n}; pass precision >= "
+            f"{n - _GUARD_BITS} bits for this n")
 
 
 @functools.lru_cache(maxsize=None)
@@ -158,7 +175,7 @@ def _solve_poly(n: int, factor, precision: int | None):
         else:
             lo = mid
     import mpmath
-    with mpmath.workprec(precision + 20):
+    with mpmath.workprec(precision + _GUARD_BITS):
         x = mpmath.mpf(lo + hi) / 2 ** (_BISECT_STEPS + 1)
         for _ in range(40):
             step = f(x) / fp(x)
@@ -177,7 +194,8 @@ def solve_beta(n: int, precision: int | None = None) -> AlgebraicBeta:
     """
     _check_args(n, precision, "beta_n", _BETA_DOUBLE_N_MAX)
     beta = _solve_poly(n, 1, precision)
-    with arithmetic(None if precision is None else precision + 20):
+    with arithmetic(None if precision is None
+                    else precision + _GUARD_BITS):
         a = 1 / (beta * beta - 1)
         b = beta * a
         domain_max = 1 / (beta - 1)
@@ -189,8 +207,10 @@ def solve_beta(n: int, precision: int | None = None) -> AlgebraicBeta:
 def solve_lambda(n: int, precision: int | None = None) -> PerronValue:
     """Solve for lambda_n (largest root of x^n = 2(1 + x + ... + x^(n-2))).
 
-    precision=None uses doubles (n <= 53); see `solve_beta`."""
-    _check_args(n, precision, "lambda_n", _LAMBDA_DOUBLE_N_MAX)
+    precision=None uses doubles (n <= 53), and a precision p supports
+    n <= p + 20; see `solve_beta`."""
+    _check_args(n, precision, "lambda_n", _LAMBDA_DOUBLE_N_MAX,
+                width_limited=True)
     lam = _solve_poly(n, 2, precision)
     if not (1 < lam < 2):
         raise InvariantViolationError(f"lambda out of (1,2) at n={n}: {lam!r}")

@@ -29,8 +29,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import (AlgebraicBeta, _check_n, arithmetic, solve_beta,
-                      solve_lambda)
+from .algebra import (_LAMBDA_DOUBLE_N_MAX, AlgebraicBeta, _check_n,
+                      arithmetic, solve_beta, solve_lambda)
 from .errors import InequalityViolationError, InvariantViolationError
 
 _EIGEN_TOL = 1e-10
@@ -39,10 +39,8 @@ _PARTITION_TOL = 1e-10
 _ALIGN_TOL = 1e-9  # image endpoints against cell boundaries
 _POWER_TOL = 1e-13  # relative change of lambda that stops power iteration
 _POWER_MAX_ITER = 20000
-# check_inequality's default: doubles carry the closed forms comfortably
-# this far; beyond, beta and lambda crowd their limits and mpmath at
-# EXTENDED_BITS takes over
-EXTENDED_THRESHOLD = 30
+# check_inequality's default width above algebra._LAMBDA_DOUBLE_N_MAX,
+# where lambda_n rounds to 2.0 in doubles
 EXTENDED_BITS = 150
 
 
@@ -358,16 +356,16 @@ def check_inequality(n_max: int, precision: int | None = None):
 
     The margin log(2n-2) - log(lam)/(cd lam^n) must stay strictly positive:
     a non-positive value means an implementation bug, not a borderline
-    rounding case, so it raises. precision=None runs n up to
-    EXTENDED_THRESHOLD in doubles and larger n at EXTENDED_BITS; an integer
-    runs every n at that many bits.
+    rounding case, so it raises. precision=None runs n <= 53, where
+    lambda_n has a double below 2, in doubles and larger n at
+    EXTENDED_BITS; an integer runs every n at that many bits.
     """
     if n_max < 3:
         raise ValueError("n_max must be >= 3")
     rows = []
     for n in range(3, n_max + 1):
         bits = precision
-        if bits is None and n > EXTENDED_THRESHOLD:
+        if bits is None and n > _LAMBDA_DOUBLE_N_MAX:
             bits = EXTENDED_BITS
         center = parry_center(n, bits)
         margin = float(center.margin)

@@ -163,10 +163,31 @@ def test_grid_sign_changes_counts_roots():
     assert grid_sign_changes(g, 1.0, 2.0, 4000) == 1
 
 
+def reference_poly(n, factor):
+    """The former `algebra._poly`: f by running sums, and its derivative
+    as a sum of n - 1 separate powers."""
+
+    def f(x):
+        p = 1 + 0 * x
+        s = 0 * x
+        for _ in range(n - 1):
+            s = s + p
+            p = p * x
+        return p * x - factor * s
+
+    def fprime(x):
+        d = n * x ** (n - 1)
+        for i in range(1, n - 1):
+            d = d - factor * i * x ** (i - 1)
+        return d
+
+    return f, fprime
+
+
 def reference_mp_root(n, factor, precision):
     """The former extended-precision root: 80 bisection steps whose signs
     come from f evaluated in rounded mpf arithmetic, then Newton."""
-    f, fp = algebra._poly(n, factor)
+    f, fp = reference_poly(n, factor)
     with mpmath.workprec(precision + 20):
         lo, hi = mpmath.mpf(1), mpmath.mpf(2)
         for _ in range(80):
@@ -195,7 +216,8 @@ def _assert_root_matches_reference(n, factor, precision):
 
 @pytest.mark.parametrize("factor", [1, 2])
 @pytest.mark.parametrize("precision,n_values", [
-    # check_inequality above n = 30: `entropy --n-range 3..60`, verify
+    # check_inequality's default width: `entropy --n-range 3..60` solves
+    # n = 54..60 at it (and n = 31..53 did while doubles stopped at 30)
     (150, range(31, 61)),
     # `entropy --precision 200 --n 40`, `constants --n 40 --precision 200`
     (200, range(3, 41)),
@@ -225,3 +247,39 @@ def test_double_precision_limit(solve, root, n_max):
         solve(n_max + 1)
     assert isinstance(err.value, ValueError)
     assert 1 < root(solve(n_max + 1, precision=150)) < 2
+
+
+@pytest.mark.parametrize("precision", [None, 100, 150, 200, 300],
+                         ids=["double", "100-bits", "150-bits", "200-bits",
+                              "300-bits"])
+def test_horner_derivative_keeps_every_root(precision, monkeypatch):
+    # the Horner derivative rounds differently from the former power sum;
+    # Newton must still land on the same root, bit for bit
+    cases = ([(n, 2) for n in range(3, 54)] + [(n, 1) for n in range(3, 78)]
+             if precision is None
+             else [(n, factor) for n in range(3, 90) for factor in (1, 2)])
+    got = [algebra._solve_poly(n, factor, precision) for n, factor in cases]
+    monkeypatch.setattr(algebra, "_poly", reference_poly)
+    want = [algebra._solve_poly.__wrapped__(n, factor, precision)
+            for n, factor in cases]
+    if precision is None:
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+    else:
+        assert [x._mpf_ for x in got] == [x._mpf_ for x in want]
+
+
+def test_double_limits_are_where_the_roots_round_onto_their_limits():
+    # the correctly rounded roots, from 300-bit solves: lambda_n rounds onto
+    # 2.0 first at n = 54 and beta_n onto fl(phi) first at n = 78
+    lam = {n: float(solve_lambda(n, precision=300).lam) for n in range(3, 55)}
+    beta = {n: float(solve_beta(n, precision=300).beta)
+            for n in range(3, 79)}
+    assert lam[53] < 2.0 == lam[54]
+    assert beta[77] < algebra.GOLDEN_RATIO == beta[78]
+    assert algebra._LAMBDA_DOUBLE_N_MAX == min(
+        n for n in lam if lam[n] == 2.0) - 1
+    assert algebra._BETA_DOUBLE_N_MAX == min(
+        n for n in beta if beta[n] == algebra.GOLDEN_RATIO) - 1
+    # at the limits the double solver returns those correctly rounded roots
+    assert solve_lambda(53).lam == lam[53]
+    assert solve_beta(77).beta == beta[77]

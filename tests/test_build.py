@@ -76,15 +76,7 @@ print(json.dumps([loaded, rc, hashlib.sha256(out.getvalue().encode()).hexdigest(
 """
 
 
-def test_double_precision_commands_never_load_mpmath():
-    # mpmath is imported only where extended precision runs
-    doubles = [["constants", "--n", "5"],
-               ["simulate", "--n", "4", "--samples", "32768", "--points",
-                "64"],
-               ["markov", "--n", "4"],
-               ["parry", "--n", "3", "--samples", "2500"],
-               ["verify", "--suite", "gls", "--n", "3"]]
-    extended = "constants --n 40 --precision 200 --format json"
+def _assert_loads_mpmath_only_for(doubles, extended):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", COLD_PATH,
@@ -95,3 +87,21 @@ def test_double_precision_commands_never_load_mpmath():
     assert loaded == [False, False, True]
     pins = json.loads((ROOT / "tests" / "artifact_digests.json").read_text())
     assert [rc, digest] == pins[extended]
+
+
+def test_double_precision_commands_never_load_mpmath():
+    # mpmath is imported only where extended precision runs
+    _assert_loads_mpmath_only_for(
+        [["constants", "--n", "5"],
+         ["simulate", "--n", "4", "--samples", "32768", "--points", "64"],
+         ["markov", "--n", "4"],
+         ["parry", "--n", "3", "--samples", "2500"],
+         ["verify", "--suite", "gls", "--n", "3"],
+         ["verify", "--suite", "markov", "--n", "3"]],
+        "constants --n 40 --precision 200 --format json")
+
+
+def test_entropy_loads_mpmath_only_above_the_double_lambda_limit():
+    # the margin rows run in doubles while lambda_n has a double, n <= 53
+    _assert_loads_mpmath_only_for([["entropy", "--n-range", "3..53"]],
+                                  "entropy --n-range 3..54 --format json")

@@ -244,6 +244,28 @@ def test_n_beyond_doubles_runs_with_precision(capsys):
     assert rep["margin"] > 0 and 3 < rep["expected_tau"] < 4
 
 
+@pytest.mark.parametrize("bits", [100, 150, 200])
+def test_precision_too_narrow_for_lambda_is_usage_error(bits, capsys):
+    # lambda_n rounds below 2 at the root's working width, bits + 20, only
+    # while n <= bits + 20 (algebra._LAMBDA_DOUBLE_N_MAX's derivation)
+    rc, out = _run(capsys, ["constants", "--n", str(bits + 20),
+                            "--precision", str(bits)])
+    assert rc == 0
+    assert json.loads(out)["margin"] > 0
+    n = bits + 21
+    for argv in (["constants", "--n", str(n)],
+                 ["entropy", "--n-range", f"{n - 1}..{n}"]):
+        with pytest.raises(SystemExit) as err:
+            main(argv + ["--precision", str(bits)])
+        assert err.value.code == 2
+        err_text = capsys.readouterr().err
+        assert err_text.endswith(
+            f"error: {argv[0]}: lambda_n at precision {bits} supports "
+            f"n <= {bits + 20}, got n={n}; pass precision >= {bits + 1} "
+            "bits for this n\n")
+        assert "Traceback" not in err_text
+
+
 def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as err:
         main([])

@@ -288,7 +288,7 @@ def reference_induced_parry_entropy(n, precision=None):
         return mpmath.log(lam) * _inv_cd_direct(lam, n) / lam ** n
 
 
-def reference_check_inequality(n_max, extended_threshold=30, bits=150):
+def reference_check_inequality(n_max, extended_threshold=53, bits=150):
     """The former `markov.check_inequality`, with its per-row precision
     switch and margin branch."""
     rows = []
@@ -345,8 +345,11 @@ def test_parry_center_matches_reference(bits, n_values):
 @pytest.mark.parametrize("bits", [None, 150, 200], ids=["default", "150-bits",
                                                          "200-bits"])
 def test_check_inequality_matches_reference(bits):
-    # the default runs n <= 30 in doubles and n = 31..60 at 150 bits; an
-    # explicit width runs every n at it (the former extended_threshold=0)
+    # the default runs n <= 53 (lambda_n's double limit) in doubles and
+    # n = 54..60 at 150 bits; an explicit width runs every n at it (the
+    # former extended_threshold=0). Up to the previous threshold of 30,
+    # n = 31..53 ran at 150 bits; their doubles lie a few ulps away (see
+    # test_double_parry_center_within_forward_error_bound)
     want = (reference_check_inequality(60) if bits is None
             else reference_check_inequality(60, extended_threshold=0,
                                             bits=bits))
@@ -354,6 +357,59 @@ def test_check_inequality_matches_reference(bits):
     assert [[_bits(x) for x in r] for r in got] == [
         [_bits(x) for x in r] for r in want]
     assert all(type(x) is float for r in got for x in r[1:])
+
+
+def _gamma(k):
+    u = 2.0 ** -53
+    return k * u / (1 - k * u)
+
+
+def test_double_parry_center_within_forward_error_bound():
+    # Forward error bounds from the operation count, written before any
+    # deviation was looked at. u = 2^-53 and gamma(k) = k u / (1 - k u)
+    # (Higham, ch. 3); math.log and float ** int are within an ulp (2u
+    # relative), so each counts as two roundings.
+    # * lam: f(x) = x^n - 2 sum_{i<=n-2} x^i, by running sums, is off by at
+    #   most gamma(2n) (x^n + 2 s(x)) = 2 gamma(2n) x^n near the root, and
+    #   f'(lam) >= 2 lam^(n-1) (checked below). So the bisection on the
+    #   sign of fl(f) brackets lam to gamma(2n) lam; the last bracket's ulp
+    #   (2u) and Newton's rounded update (u) add 3u: e_lam <= gamma(2n+3).
+    # * inv_cd = P(lam) has degree n and positive coefficients, so the
+    #   root's error moves it by at most (1 + e_lam)^n - 1 <= gamma(n k)
+    #   with k = 2n + 3. Each term takes a pow, at most n - 2 running
+    #   additions, a division and a product, then at most n - 1 additions
+    #   into the total: gamma(2n + 2) more.
+    # * mu_center = lam^n / P(lam): its log-derivative in lam lies in
+    #   [0, n], so the root moves it by at most gamma(n k); the pow and the
+    #   division add 3 to inv_cd's count.
+    # * h_induced = log(lam) P(lam) / lam^n: log lam >= log lam_3 > 1/2,
+    #   so the root moves log lam by at most 2 e_lam relative and P / lam^n
+    #   by gamma(n k): gamma((n + 2) k). log, product, pow and division add
+    #   6 to inv_cd's count.
+    # * margin = log(2n - 2) - h_induced, absolute: log's 2u log(2n - 2),
+    #   h_induced's error and the subtraction's u |margin|.
+    # The 150-bit centres are exact to far below these bounds.
+    u = 2.0 ** -53
+    for n in range(3, 54):
+        got, want = parry_center(n), parry_center(n, 150)
+        lam = want.lam
+        with mpmath.workprec(150):
+            fprime = n * lam ** (n - 1) - 2 * sum(
+                i * lam ** (i - 1) for i in range(1, n - 1))
+            assert fprime >= 2 * lam ** (n - 1), n
+            k = 2 * n + 3
+            rel = {"lam": _gamma(k),
+                   "inv_cd": _gamma(n * k + 2 * n + 2),
+                   "mu_center": _gamma(n * k + 2 * n + 5),
+                   "h_induced": _gamma((n + 2) * k + 2 * n + 8)}
+            for field, bound in rel.items():
+                exact = getattr(want, field)
+                assert abs(getattr(got, field) - exact) <= bound * abs(
+                    exact), (n, field)
+            margin_bound = (2 * u * math.log(2 * n - 2)
+                            + rel["h_induced"] * float(want.h_induced)
+                            + u * float(want.margin))
+            assert abs(got.margin - want.margin) <= margin_bound, n
 
 
 def test_second_check_inequality_reuses_the_centres(monkeypatch):
