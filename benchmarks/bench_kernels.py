@@ -14,21 +14,37 @@ extended-precision work behind `entropy --n-range 3..60`:
 preimage intervals behind `verify`'s `depth4-cylinders-*` rows: one
 `measures.cylinder_preimage_table` per coin word, 16 (n-1)^4 words.
 
+`--against PATH` compares this checkout with the one at PATH instead. It
+loads PATH's `src/shrinkbeta` under another package name, checks that
+both trees return equal results for every case (arrays by their bytes),
+and then times the two trees' calls alternately, each tree first in
+every other pair, so that both see the same machine load. Each case
+prints both trees' median times and the median speed-up of this tree
+(PATH's time over this tree's, per pair) with its quartiles, and the
+number of pairs this tree won. Timing two trees one after the other, in
+two processes, cannot resolve a change of a few percent on a shared
+machine; alternating them in one process can.
+
 Usage: python3 benchmarks/bench_kernels.py [--repeat 7] [--seed 1]
+                                           [--against PATH]
 """
 
 import argparse
+import importlib
+import importlib.util
 import statistics
+import sys
 import time
 import tracemalloc
-from functools import partial
 from itertools import product
+from pathlib import Path
 
 import mpmath
 import numpy as np
 
-from shrinkbeta import algebra, kernels, markov, measures
-from shrinkbeta.algebra import solve_beta, solve_lambda
+# this checkout's package, installed or not
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+import shrinkbeta  # noqa: E402
 
 INDUCED_CASES = [
     (3, 1024, 1000),
@@ -55,22 +71,98 @@ MP_NS = range(31, 61)
 MP_BITS = 150
 
 
-# the columns `_timed` fills
-TIMES = f"{'best [s]':>10} {'median [s]':>10} {'quartiles [s]':>19}"
+def _modules(package):
+    """The modules the cases call, from one tree's package."""
+    return {name: importlib.import_module(f"{package.__name__}.{name}")
+            for name in ("algebra", "kernels", "markov", "measures")}
 
 
-def _timed(call, repeat):
-    """Best, median and quartiles of `repeat` wall times of call()."""
-    times = []
-    for _ in range(repeat):
-        t0 = time.perf_counter()
-        call()
-        times.append(time.perf_counter() - t0)
-    q1, _, q3 = (statistics.quantiles(times, n=4, method="inclusive")
-                 if repeat > 1 else times * 3)
-    quartiles = f"{q1:.4f}-{q3:.4f}"
-    return (f"{min(times):>10.4f} {statistics.median(times):>10.4f} "
-            f"{quartiles:>19}")
+def _load_tree(path):
+    """The `shrinkbeta` package of the checkout at `path`, loaded under the
+    name `shrinkbeta_against`; its modules import each other relatively,
+    so none of them resolves to this checkout's."""
+    source = Path(path).resolve() / "src" / "shrinkbeta"
+    name = "shrinkbeta_against"
+    spec = importlib.util.spec_from_file_location(
+        name, source / "__init__.py", submodule_search_locations=[str(source)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return package
+
+
+def _tables(seed):
+    """(title, header, cases): each case is a row label and a function
+    that takes one tree's modules and returns the call to time."""
+
+    def induced(n, points, steps):
+        def make(mod):
+            ctx = mod["algebra"].solve_beta(n)
+            x0 = mod["kernels"].uniform_starts(seed, points, ctx.a + 1e-9,
+                                               ctx.b - 1e-9)
+            return lambda: mod["kernels"].induced_stats(ctx, x0, steps, seed)
+        return f"{n:>4} {points:>8} {steps:>7}", make
+
+    def chain(n, steps):
+        def make(mod):
+            chain = mod["markov"].build_chain(n)
+            cum_rows = np.cumsum(chain.P_trans, axis=1)
+            start_cum = np.cumsum(chain.p)
+            return lambda: mod["kernels"].chain_sample(cum_rows, start_cum,
+                                                       steps, seed)
+        return f"{n:>4} {steps:>16}", make
+
+    def solve_cold(mod):
+        def call():
+            mod["algebra"]._solve_poly.cache_clear()
+            return [mod["algebra"].solve_lambda(n, MP_BITS).lam
+                    for n in MP_NS]
+        return call
+
+    def inv_cd(mod):
+        roots = [(n, mod["algebra"].solve_lambda(n, MP_BITS).lam)
+                 for n in MP_NS]
+
+        def call():
+            with mpmath.workprec(MP_BITS):
+                return [mod["markov"]._inv_cd_direct(lam, n)
+                        for n, lam in roots]
+        return call
+
+    def cylinders(n):
+        def make(mod):
+            ctx = mod["algebra"].solve_beta(n)
+            table = mod["measures"].cylinder_preimage_table
+            table((0, 0, 0, 0), ctx)  # warm caches
+            return lambda: [table(coins, ctx)
+                            for coins in product((0, 1), repeat=4)]
+        return f"{n:>4} {16 * (n - 1) ** 4:>8}", make
+
+    return [
+        ("induced_stats", f"{'n':>4} {'points':>8} {'steps':>7}",
+         [induced(*case) for case in INDUCED_CASES]),
+        ("chain_sample", f"{'n':>4} {'steps':>16}",
+         [chain(*case) for case in CHAIN_CASES]),
+        (f"extended precision, n = {MP_NS.start}..{MP_NS.stop - 1} at "
+         f"{MP_BITS} bits, times for all n", f"{'case':>29}",
+         [(f"{'solve_lambda (cold cache)':>29}", solve_cold),
+          (f"{'_inv_cd_direct':>29}", inv_cd)]),
+        ("depth-4 cylinder preimages", f"{'n':>4} {'words':>8}",
+         [cylinders(n) for n in CYLINDER_NS]),
+    ]
+
+
+def _quartiles(values):
+    """Lower quartile, median and upper quartile."""
+    if len(values) == 1:
+        return values * 3
+    return statistics.quantiles(values, n=4, method="inclusive")
+
+
+def _wall(call):
+    t0 = time.perf_counter()
+    call()
+    return time.perf_counter() - t0
 
 
 def _traced_mb(call):
@@ -83,63 +175,73 @@ def _traced_mb(call):
         tracemalloc.stop()
 
 
+def _key(value):
+    """A comparable form of a result: arrays by dtype, shape and bytes, so
+    that equal keys mean bit-identical results."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, (list, tuple)):
+        return tuple(_key(item) for item in value)
+    return getattr(value, "_mpf_", repr(value))  # mpf by its exact bits
+
+
 def run(repeat: int, seed: int) -> None:
-    print(f"induced_stats\n{'n':>4} {'points':>8} {'steps':>7} {TIMES} "
-          f"{'peak [MB]':>10}")
-    for n, points, steps in INDUCED_CASES:
-        ctx = solve_beta(n)
-        x0 = kernels.uniform_starts(seed, points, ctx.a + 1e-9,
-                                    ctx.b - 1e-9)
-        call = partial(kernels.induced_stats, ctx, x0, steps, seed)
-        print(f"{n:>4} {points:>8} {steps:>7} {_timed(call, repeat)} "
-              f"{_traced_mb(call):>10.2f}")
+    mod = _modules(shrinkbeta)
+    for title, header, cases in _tables(seed):
+        print(f"{title}\n{header} {'best [s]':>10} {'median [s]':>10} "
+              f"{'quartiles [s]':>19} {'peak [MB]':>10}")
+        for label, make in cases:
+            call = make(mod)
+            times = [_wall(call) for _ in range(repeat)]
+            q1, median, q3 = _quartiles(times)
+            print(f"{label} {min(times):>10.4f} {median:>10.4f} "
+                  f"{f'{q1:.4f}-{q3:.4f}':>19} {_traced_mb(call):>10.2f}")
 
-    print(f"chain_sample\n{'n':>4} {'steps':>16} {TIMES} {'peak [MB]':>10}")
-    for n, steps in CHAIN_CASES:
-        chain = markov.build_chain(n)
-        cum_rows = np.cumsum(chain.P_trans, axis=1)
-        start_cum = np.cumsum(chain.p)
-        call = partial(kernels.chain_sample, cum_rows, start_cum, steps, seed)
-        print(f"{n:>4} {steps:>16} {_timed(call, repeat)} "
-              f"{_traced_mb(call):>10.2f}")
 
-    def solve_cold():
-        algebra._solve_poly.cache_clear()
-        for n in MP_NS:
-            solve_lambda(n, MP_BITS)
-
-    roots = [(n, solve_lambda(n, MP_BITS).lam) for n in MP_NS]
-
-    def inv_cd():
-        with mpmath.workprec(MP_BITS):
-            for n, lam in roots:
-                markov._inv_cd_direct(lam, n)
-
-    print(f"extended precision, n = {MP_NS.start}..{MP_NS.stop - 1} at "
-          f"{MP_BITS} bits, times for all n\n{'case':>29} {TIMES}")
-    for name, call in (("solve_lambda (cold cache)", solve_cold),
-                       ("_inv_cd_direct", inv_cd)):
-        print(f"{name:>29} {_timed(call, repeat)}")
-
-    print(f"depth-4 cylinder preimages\n{'n':>4} {'words':>8} {TIMES}")
-    for n in CYLINDER_NS:
-        ctx = solve_beta(n)
-        measures.cylinder_preimage_table((0, 0, 0, 0), ctx)  # warm caches
-
-        def tables():
-            for coins in product((0, 1), repeat=4):
-                measures.cylinder_preimage_table(coins, ctx)
-
-        print(f"{n:>4} {16 * (n - 1) ** 4:>8} {_timed(tables, repeat)}")
+def run_against(path, repeat: int, seed: int) -> int:
+    """Alternate this tree's calls with the tree at `path`'s; returns the
+    number of cases whose results differ."""
+    ours, theirs = _modules(shrinkbeta), _modules(_load_tree(path))
+    differ = 0
+    for title, header, cases in _tables(seed):
+        print(f"{title}\n{header} {'this [s]':>10} {'other [s]':>10} "
+              f"{'speed-up':>8} {'quartiles':>11} {'won':>7}")
+        for label, make in cases:
+            mine, other = make(ours), make(theirs)
+            if _key(mine()) != _key(other()):
+                differ += 1
+                print(f"{label} results differ")
+                continue
+            pairs = []
+            for i in range(repeat):
+                if i % 2:
+                    t_other, t_mine = _wall(other), _wall(mine)
+                else:
+                    t_mine, t_other = _wall(mine), _wall(other)
+                pairs.append((t_mine, t_other))
+            q1, ratio, q3 = _quartiles([b / a for a, b in pairs])
+            won = sum(a < b for a, b in pairs)
+            print(f"{label} {statistics.median(a for a, _ in pairs):>10.4f} "
+                  f"{statistics.median(b for _, b in pairs):>10.4f} "
+                  f"{ratio:>7.3f}x {f'{q1:.2f}-{q3:.2f}':>11} "
+                  f"{f'{won}/{repeat}':>7}")
+    return differ
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeat", type=int, default=7,
-                        help="time each case this many times")
+                        help="time each case this many times (pairs of "
+                             "calls with --against)")
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--against", metavar="PATH",
+                        help="alternate calls with the checkout at PATH and "
+                             "print the speed-up of this one")
     args = parser.parse_args()
-    run(args.repeat, args.seed)
+    if args.against is None:
+        run(args.repeat, args.seed)
+    elif run_against(args.against, args.repeat, args.seed):
+        sys.exit(1)
 
 
 if __name__ == "__main__":

@@ -95,6 +95,26 @@ _BETA_DOUBLE_N_MAX = 77
 _LAMBDA_DOUBLE_N_MAX = 53
 
 
+def _lambda_n_max(precision: int) -> int:
+    """Largest n whose lambda_n rounds below 2 at the root's width."""
+    return precision + _GUARD_BITS
+
+
+def _beta_n_max(precision: int) -> int:
+    """Largest n whose beta_n rounds below the rounded golden ratio at the
+    root's width w = precision + 20, wherever phi falls in its ulp.
+
+    phi - beta_n = beta^(1-n) / (beta + 1/phi) is phi^(1-n) / sqrt(5) up to
+    a factor 1 + O(n phi^-n). A gap of one ulp at phi, 2^(1-w), keeps beta_n
+    below the midpoint under the rounded phi, so the root rounds below it
+    while n <= 1 + (w - 1 - log2(sqrt(5))) / log2(phi), about 1.44 w - 2.4.
+    In doubles the offset of fl(phi) is known, and the limit is the last n
+    that rounds below it, 77 (this bound would give 74)."""
+    w = precision + _GUARD_BITS
+    return 1 + math.floor((w - 1 - math.log2(math.sqrt(5)))
+                          / math.log2(GOLDEN_RATIO))
+
+
 def arithmetic(precision: int | None):
     """The arithmetic a precision selects: doubles for None (a no-op
     context), else mpmath at that significand width in bits."""
@@ -110,9 +130,9 @@ def _check_n(n) -> None:
 
 
 def _check_args(n, precision, name: str, double_n_max: int,
-                width_limited: bool = False) -> None:
-    """Refuse n that the arithmetic cannot resolve; width_limited: the
-    root's extended limit is its working width (lambda_n, see above)."""
+                extended_n_max) -> None:
+    """Refuse n that the arithmetic cannot resolve: above double_n_max in
+    doubles, above extended_n_max(precision) in extended precision."""
     # runs before the root cache: 3.0 and np.int64(3) hash like 3
     _check_n(n)
     if precision is None:
@@ -124,11 +144,17 @@ def _check_args(n, precision, name: str, double_n_max: int,
     elif precision < MIN_PRECISION:
         raise ValueError(
             f"extended precision needs >= {MIN_PRECISION} bits")
-    elif width_limited and n > precision + _GUARD_BITS:
+    elif n > extended_n_max(precision):
+        # bisect for the least precision that takes n: each limit grows by
+        # at least one per bit, so precision + (n - limit) bits take it
+        lo, hi = precision, precision + n - extended_n_max(precision)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if extended_n_max(mid) < n else (lo, mid)
         raise PrecisionLimitError(
             f"{name} at precision {precision} supports n <= "
-            f"{precision + _GUARD_BITS}, got n={n}; pass precision >= "
-            f"{n - _GUARD_BITS} bits for this n")
+            f"{extended_n_max(precision)}, got n={n}; pass precision >= "
+            f"{hi} bits for this n")
 
 
 @functools.lru_cache(maxsize=None)
@@ -190,9 +216,10 @@ def solve_beta(n: int, precision: int | None = None) -> AlgebraicBeta:
 
     precision=None uses doubles (n <= 77); an integer is an mpmath
     significand width in bits (>= 100), in which case all fields are mpf
-    values computed at the root's working precision, precision + 20.
+    values computed at the root's working precision, precision + 20, for
+    n <= `_beta_n_max(precision)`, about 1.44 (precision + 20).
     """
-    _check_args(n, precision, "beta_n", _BETA_DOUBLE_N_MAX)
+    _check_args(n, precision, "beta_n", _BETA_DOUBLE_N_MAX, _beta_n_max)
     beta = _solve_poly(n, 1, precision)
     with arithmetic(None if precision is None
                     else precision + _GUARD_BITS):
@@ -210,7 +237,7 @@ def solve_lambda(n: int, precision: int | None = None) -> PerronValue:
     precision=None uses doubles (n <= 53), and a precision p supports
     n <= p + 20; see `solve_beta`."""
     _check_args(n, precision, "lambda_n", _LAMBDA_DOUBLE_N_MAX,
-                width_limited=True)
+                _lambda_n_max)
     lam = _solve_poly(n, 2, precision)
     if not (1 < lam < 2):
         raise InvariantViolationError(f"lambda out of (1,2) at n={n}: {lam!r}")

@@ -98,6 +98,10 @@ def _scale(value: float, log_base: str) -> float:
 
 def cmd_constants(args) -> int:
     bits = args.precision
+    if bits is not None:
+        # lambda_n's extended limit lies below beta_n's: it names the
+        # refusal and the precision that takes both roots
+        markov.parry_center(args.n, bits)
     ctx = solve_beta(args.n, bits)
     center = markov.parry_center(args.n, bits)
     with arithmetic(bits):

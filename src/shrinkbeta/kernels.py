@@ -10,10 +10,13 @@ points are grouped into numpy calls does not change a result, only how
 fast it comes:
 
 * `induced_stats` draws the coins of a block of steps for all points in
-  one `_raw` draw of about `_DRAW_WORDS` words (word `j*steps + k` depends
-  only on the seed and that index). A coin step puts a point above `b`
-  (bit 0, as `beta*[a, b] = [b, beta*b]`) or below `a` (bit 1), and its
-  excursion runs on that one branch. In doubles, for n = 3..53, the upper
+  one draw of about `_DRAW_WORDS` words (word `j*steps + k` depends only
+  on the seed and that index; Salmon et al., SC'11). The words `_raw`
+  mixes for index `j*steps + k` are `(j*steps + k + 1)*G + seed'` mod
+  2**64, which is `(j*steps + 1)*G + seed'`, formed once per point, plus
+  `k*G`: one add per draw forms them all. A coin step puts a point above
+  `b` (bit 0, as `beta*[a, b] = [b, beta*b]`) or below `a` (bit 1), and
+  its excursion runs on that one branch. In doubles, for n = 3..53, the upper
   branch `fl(fl(beta*y) - 1)` strictly decreases on `(b, beta*b]`, the
   lower branch `fl(beta*y)` strictly increases on `[beta*a - 1, a)`, and
   neither crosses back over its boundary once past it (a Hypothesis test
@@ -24,17 +27,21 @@ fast it comes:
   `(R + 2) x points` array: rows 0..R, then a row of -inf. A point's
   landing round is the number of its rows with `w > t`, for `t = b` above
   and `-a` below: one compare, one uint8 reduce and one flat `take` of
-  the landing values per step, and one `bincount` per draw.
+  the landing values per step, and per draw one `count_nonzero` of each
+  landing round, which is the histogram.
   The count is exact because each branch map is non-decreasing: given
   `beta*b - 1 <= b` and `beta*a >= a` (checked per call), a point at or
   past its boundary stays there, so the rows with `w > t` come first.
-  `R = min(n_cap, ceil(ln(points) / ln(beta)))` (and at most
+  `R = min(n_cap - 1, ceil(ln(points) / ln(beta)))` (and at most
   `_MAX_ROUNDS`), so that under the paper's return-time law
   `P(tau = t) = beta^-t` fewer than one point per step is expected still
-  out; the array grows with points, not with steps. The rounds check no
-  guard: `outward` (checked per call) makes `beta*x - 1` rise past
-  `domain_max + guard` and `beta*x` fall below `-guard`, so an escaped
-  point is still out when they end.
+  out; the array grows with points, not with steps. Return times are
+  2..n, so row n - 1 already sees every landing; a point with time n + 1,
+  which the scalar map accepts, is still out after the rounds and counted
+  in `hist[n + 1]` by `_finish`. The rounds check no guard: `outward`
+  (checked per call) makes `beta*x - 1` rise past `domain_max + guard`
+  and `beta*x` fall below `-guard`, so an escaped point is still out when
+  they end.
 * `_finish` runs leftover points one by one to their returns: from round
   R + 1 those still out after R rounds (they read the -inf row), and from
   round 1 every point of a step with R = 0 (one point, a beta too small
@@ -49,21 +56,32 @@ fast it comes:
   round-by-round check meets first: no excursion reads another. The
   rounds check no guard, so when the call from round R + 1 raises, a
   replay of the step from its coin-step values finds that error.
-* `chain_sample` turns each uniform into its bin among the distinct
-  values of all cumulative rows with one `searchsorted`, then walks a
-  `(state, bin) -> next state` table over Python lists, one draw of
-  `_DRAW_WORDS` steps at a time. The next state is the number of row
-  values at most `u`, capped at `m - 1`; every row value is a bin edge, so
-  that number is the same for every `u` in one bin, and each table entry
-  counts it at a value from its bin. Rows must be non-decreasing, as
-  checked on entry.
+* `chain_sample` turns each uniform into its bin among the nb - 1
+  distinct values of all cumulative rows, then walks a table over `bytes`
+  rows, one draw of `_DRAW_WORDS` steps at a time. The next state is the
+  number of row values at most `u`, capped at `m - 1`; every row value is
+  a bin edge, so that number is the same for every `u` in one bin, and
+  each one-step `(state, bin)` entry counts it at a value from its bin.
+  Each state's row of nb bytes is made on its own, so the table costs
+  `m*nb` bytes. One lookup walks k steps: k is the largest with
+  `m^k <= 256`, so that the id `s_1 m^(k-1) + ... + s_k` of the k states
+  it passes fits in a byte, and with `m*nb^k <= _DRAW_WORDS` table bytes.
+  A k-step row, keyed by the k bins in base nb, gives that id, and a
+  small table turns the ids back into states. The row of an id is that of
+  its last state, so the walk reads `state := table[state][key]` for any
+  k, and k = 1 is the one-step walk itself. Parry chains with n <= 8 take
+  2 or 3 steps per lookup; a draw's tail shorter than k runs one step at
+  a time. k > 1 needs `nb^2 <= _DRAW_WORDS`, so at most 127 edges, and
+  then counting the edges at most `u` in bytes, one compare and add per
+  edge, finds the bins faster than `searchsorted`'s branchy bisection.
+  Rows must be non-decreasing, as checked on entry.
 
 `_DRAW_WORDS` sizes every draw, so a bulk loop's working set is about
 three arrays of 16,384 8-byte items (128 KiB each) whatever its length;
 `induced_stats` adds its rounds array and a few rows of points, which
-grow with points, not steps. `_raw` mixes each draw in place, in one work
-array and one shift temporary, and each loop frees one draw before it
-makes the next. At
+grow with points, not steps, and `chain_sample` its `m*nb` table bytes.
+`_mix` mixes each draw in place, in one work array and one shift
+temporary, and each loop frees one draw before it makes the next. At
 16,384 words a draw still amortizes numpy's per-call cost over 1024
 points times 16 steps or 16,384 chain steps, and larger draws only add
 memory. Word values depend on the index alone, so the draw size changes
@@ -128,11 +146,18 @@ def _induced(beta, a, b, domain_max, n_cap, x0, steps, seed):
     count = x.size
     hist = [0] * (n_cap + 2)
     low, high = -_DRIFT_GUARD, domain_max + _DRIFT_GUARD
-    offsets = np.arange(count, dtype=np.uint64) * np.uint64(steps)
+    # the words `_raw` forms for indices j*steps + k, with k*G added per
+    # draw: (j*steps + k + 1)*G + seed' = (j*steps + 1)*G + seed' + k*G
+    base = np.arange(count, dtype=np.uint64) * np.uint64(steps)
+    base += np.uint64(1)
+    base *= _GOLDEN
+    base += np.uint64(seed ^ STREAM_COIN)
     block = max(1, _DRAW_WORDS // count)
     outward = beta * low < low and beta * high - 1.0 > high
     stays = beta * b - 1.0 <= b and beta * a >= a
-    rounds = (min(n_cap, _MAX_ROUNDS,
+    # return times are 2..n_cap, so the rounds up to n_cap - 1 see every
+    # landing; a point with time n_cap + 1 goes on in `_finish`
+    rounds = (min(n_cap - 1, _MAX_ROUNDS,
                   math.ceil(math.log(count) / math.log(beta)))
               if outward and stays else 0)
     # per coin bit (column 0 or 1): the bit, then for the branch it starts
@@ -144,35 +169,39 @@ def _induced(beta, a, b, domain_max, n_cap, x0, steps, seed):
     w = np.empty((rounds + 2, count))
     w[-1] = -np.inf  # the landing value of a point still out
     rows = list(w)
+    moves = list(zip(rows[:rounds], rows[1:]))  # round r: row r to r + 1
     away = np.empty((rounds + 1, count), dtype=bool)
     lands = np.empty((block, count), dtype=np.uint8)  # landing rounds
-    starts = np.arange(rounds + 2) * count
-    cols = np.arange(count)
+    hits = np.empty((block, count), dtype=bool)
+    size, cols = np.array(count, dtype=np.intp), np.arange(count)
     flat = np.empty(count, dtype=np.intp)
     land = np.empty(count)
     past = np.empty(count, dtype=bool)
-    # ufuncs take a 0-d array operand faster than a Python float
+    # ufuncs take a 0-d array operand faster than a Python float, and
+    # `out` faster by position than by keyword
     mul, sub, factor = np.multiply, np.subtract, np.array(beta)
+    greater, less = np.greater, np.less
     for k0 in range(0, steps, block):
         ks = np.arange(k0, min(k0 + block, steps), dtype=np.uint64)
-        z = _raw(seed, STREAM_COIN, ks[:, None] + offsets)
+        ks *= _GOLDEN
+        z = _mix(ks[:, None] + base)
         z >>= np.uint64(63)
         for back, bits in zip(lands, z.view(np.int64)):
             coin.take(bits, axis=1, out=aux, mode="clip")
-            mul(x, factor, out=x)
+            mul(x, factor, x)
             x -= bit
-            mul(x, s, out=rows[0])
+            mul(x, s, rows[0])
             if rounds:
-                for r in range(rounds):
-                    mul(rows[r], factor, out=rows[r + 1])
-                    sub(rows[r + 1], d, out=rows[r + 1])
-                np.greater(w[:-1], t, out=away)
-                np.add.reduce(away.view(np.uint8), axis=0, out=back)
-                starts.take(back, out=flat, mode="clip")
+                for src, dst in moves:
+                    mul(src, factor, dst)
+                    sub(dst, d, dst)
+                greater(w[:-1], t, away)
+                np.add.reduce(away.view(np.uint8), 0, None, back)
+                mul(back, size, flat)  # the flat index of each landing
                 flat += cols
                 w.take(flat, out=land, mode="clip")
-                mul(land, s, out=x)
-                if not np.count_nonzero(np.less(land, lo, out=past)):
+                mul(land, s, x)
+                if not np.count_nonzero(less(land, lo, past)):
                     continue
                 odd = past.nonzero()[0]
                 if back.take(odd).min() > rounds:  # all still out
@@ -189,15 +218,15 @@ def _induced(beta, a, b, domain_max, n_cap, x0, steps, seed):
                 # a point landed past [a, b]: none of these landing
                 # rounds counts, and the whole step runs below
                 back[:] = rounds + 1
-                mul(rows[0], s, out=x)
+                mul(rows[0], s, x)
             idx = ((x < a) | (x > b)).nonzero()[0]
             hist[1] += count - idx.size
             x[idx] = _finish(beta, a, b, domain_max, n_cap, hist,
                              x[idx].tolist(), 1)
         if rounds:
-            landed = np.bincount(lands[:len(z)].ravel(), minlength=rounds + 2)
-            for r, c in enumerate(landed.tolist()[:-1], 1):
-                hist[r] += c
+            done, eq = lands[:len(z)], hits[:len(z)]
+            for r in range(rounds + 1):
+                hist[r + 1] += np.count_nonzero(np.equal(done, r, eq))
         del z, bits  # free this draw before the next one is made
     return np.array(hist, dtype=np.int64), x
 
@@ -258,20 +287,54 @@ def chain_sample(cum_rows, start_cum, steps: int, seed: int):
     # sorted distinct values; np.unique would cost about 1.3 MB of RSS on
     # its first call
     edges = np.sort(cum_rows, axis=None)
-    edges = edges[np.append(True, edges[1:] != edges[:-1])]
-    reps = np.append(-np.inf, edges)  # a value inside every bin
-    table = np.minimum([np.searchsorted(row, reps, side="right")
-                        for row in cum_rows], m - 1).tolist()
+    reps = np.append(-np.inf, edges[np.append(True, edges[1:] != edges[:-1])])
+    edges, nb = reps[1:], reps.size  # reps: a value inside every bin
+    # next state per (state, bin), one bytes row per state
+    one = []
+    for row in cum_rows:
+        ahead = np.searchsorted(row, reps, side="right")
+        np.minimum(ahead, m - 1, out=ahead)
+        one.append(ahead.astype(np.uint8).tobytes())
+        del ahead
+    k, table, tuples = 1, one, np.arange(m, dtype=np.int8)[:, None]
+    while m ** (k + 1) <= 256 and m * nb ** (k + 1) <= _DRAW_WORDS:
+        k += 1
+    if k > 1:
+        # id s_1 m^(k-1) + ... + s_k of the states after each of k steps,
+        # per (state, bin_1 nb^(k-1) + ... + bin_k); the row of an id is
+        # that of its last state
+        step = np.frombuffer(b"".join(one), np.uint8).reshape(m, nb)
+        ids = step.astype(np.intp)
+        for _ in range(k - 1):
+            ids = (ids[..., None] * m + step[ids % m]).reshape(m, -1)
+        rows = [row.astype(np.uint8).tobytes() for row in ids]
+        table = [rows[i % m] for i in range(m ** k)]
+        tuples = (np.arange(m ** k)[:, None] // m ** np.arange(k - 1, -1, -1)
+                  % m).astype(np.int8)
     u0 = _uniforms(seed, STREAM_CHAIN, 0, 1)[0]
     state = min(int(np.searchsorted(start_cum, u0, side="right")), m - 1)
     out = np.empty(steps, dtype=np.int8)
     out[0] = state
     for k0 in range(1, steps, _DRAW_WORDS):
         u = _uniforms(seed, STREAM_CHAIN, k0, min(k0 + _DRAW_WORDS, steps))
-        bins = np.searchsorted(edges, u, side="right").tolist()
-        path = [state := table[state][i] for i in bins]
-        out[k0:k0 + len(path)] = np.frombuffer(bytes(path), dtype=np.int8)
-        del u, bins, path  # free this draw before the next one is made
+        if k > 1:  # at most 127 edges: count those at most u, in bytes
+            at, hit = np.zeros(u.size, dtype=np.uint8), np.empty(u.size, bool)
+            for edge in edges.tolist():
+                np.add(at, np.greater_equal(u, edge, hit).view(np.uint8), at)
+        else:
+            at = np.searchsorted(edges, u, side="right")
+        del u
+        end = at.size - at.size % k
+        keys = at[0:end:k].astype(np.intp, copy=False)
+        for j in range(1, k):
+            keys = keys * nb + at[j:end:k]
+        ids = [state := table[state][i] for i in keys.tolist()]
+        out[k0:k0 + end] = tuples.take(np.frombuffer(bytes(ids), np.uint8),
+                                       axis=0).ravel()
+        state %= m
+        tail = [state := one[state][i] for i in at[end:].tolist()]
+        out[k0 + end:k0 + at.size] = tail
+        del at, keys, ids  # free this draw before the next one is made
     return out
 
 
@@ -299,6 +362,12 @@ def _raw(seed, stream, index):
     z = index + np.uint64(1)
     z *= _GOLDEN
     z += np.uint64(seed) ^ np.uint64(stream)
+    return _mix(z)
+
+
+def _mix(z):
+    """splitmix64's finalizer, in place on the words z, with one shift
+    temporary; returns z."""
     t = z >> np.uint64(30)
     z ^= t
     z *= _MIX1

@@ -1,6 +1,7 @@
 """Root solving and base-beta word evaluation."""
 
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -283,3 +284,45 @@ def test_double_limits_are_where_the_roots_round_onto_their_limits():
     # at the limits the double solver returns those correctly rounded roots
     assert solve_lambda(53).lam == lam[53]
     assert solve_beta(77).beta == beta[77]
+
+
+@pytest.mark.parametrize("precision", [100, 150, 200])
+def test_extended_beta_limit_keeps_a_gap_of_one_ulp(precision):
+    # at the root's width w = precision + 20, one ulp at phi is 2^(1-w):
+    # by the 300-bit roots, phi - beta_n stays at least that up to the
+    # limit and falls below it just after, so every root up to the limit,
+    # rounded to w bits, lies below the rounded phi
+    w = precision + 20
+    n_max = algebra._beta_n_max(precision)
+    assert abs(n_max - 1.44 * w) < 3
+    with mpmath.workprec(300):
+        phi = (1 + mpmath.sqrt(5)) / 2
+        exact = {n: solve_beta(n, precision=300).beta
+                 for n in range(n_max - 4, n_max + 2)}
+        assert phi - exact[n_max] >= mpmath.mpf(2) ** (1 - w)
+        assert phi - exact[n_max + 1] < mpmath.mpf(2) ** (1 - w)
+    roots = {n: solve_beta(n, precision).beta for n in range(n_max - 4,
+                                                           n_max + 1)}
+    with mpmath.workprec(w):
+        for n, root in roots.items():
+            assert root == +exact[n] < +phi, n
+    # the root at the limit still tells n from n - 1
+    assert roots[n_max] != roots[n_max - 1]
+    with pytest.raises(PrecisionLimitError,
+                       match=f"beta_n at precision {precision} supports "
+                             f"n <= {n_max}, got n={n_max + 1}; pass "
+                             f"precision >= {precision + 1} bits"):
+        solve_beta(n_max + 1, precision)
+
+
+@pytest.mark.parametrize("solve,limit", [
+    (solve_lambda, algebra._lambda_n_max),
+    (solve_beta, algebra._beta_n_max),
+], ids=["lambda", "beta"])
+@pytest.mark.parametrize("n", [171, 400, 10_000])
+def test_extended_refusal_names_the_least_precision_that_takes_n(solve, limit,
+                                                                 n):
+    with pytest.raises(PrecisionLimitError) as err:
+        solve(n, 100)
+    least = int(re.search(r"precision >= (\d+) bits", str(err.value))[1])
+    assert limit(least - 1) < n <= limit(least)

@@ -266,6 +266,18 @@ def test_precision_too_narrow_for_lambda_is_usage_error(bits, capsys):
         assert "Traceback" not in err_text
 
 
+def test_lambda_names_the_refusal_above_both_extended_limits(capsys):
+    # beta_n's extended limit, about 1.44 (precision + 20) = 170 at 100
+    # bits, lies above lambda_n's 120; `constants` solves lambda_n first,
+    # so at n = 400 the refusal still names lambda_n
+    with pytest.raises(SystemExit) as err:
+        main(["constants", "--n", "400", "--precision", "100"])
+    assert err.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "error: constants: lambda_n at precision 100 supports n <= 120, "
+        "got n=400; pass precision >= 380 bits for this n\n")
+
+
 def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as err:
         main([])

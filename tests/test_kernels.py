@@ -442,9 +442,10 @@ def _round_order_args(pairs, fill, n_cap, seed=3):
                          seed)
 
 
-# the batch size sets R = min(n_cap, ceil(log2(points))) rounds over all
-# points: fill 64, 2 and 0 give R = min(n_cap, 8), min(n_cap, 3) and 1,
-# so the bad points reach `_finish` after their errors or before them
+# the batch size sets R = min(n_cap - 1, ceil(log2(points))) rounds over
+# all points: fill 64, 2 and 0 give R = min(n_cap - 1, 8), min(n_cap - 1, 3)
+# and 1, so the bad points reach `_finish` after their errors or before
+# them
 ROUND_ORDER_CASES = {
     # the higher-index point escapes at round 4, the lower one at round 5
     "later-point-escapes-first": ([_escape_at(5, 1.25), _escape_at(4, 1.5)],
@@ -500,12 +501,13 @@ def _finish_calls(args):
 
 
 def test_drift_at_the_round_cap_is_replayed():
-    # 139 of 1024 points are still out after 4 rounds, so the rounds over
-    # all points reach the cap and hand all of them on to `_finish`
+    # 231 of 1024 points are still out after n_cap - 1 = 3 rounds, so the
+    # rounds over all points reach the cap and hand all of them on to
+    # `_finish`
     args = _bulk_shape_args(4)
     got, calls = _finish_calls(args)
     assert got[0] == "InvariantViolationError"
-    assert calls[0] == (139, 5)
+    assert calls[0] == (231, 4)
     assert len(calls) == 2 and calls[1][1] == 1
     assert got == _outcome(reference_induced_stats, *args)
 
@@ -518,24 +520,35 @@ def test_escape_at_round_one_beats_a_later_drift():
     args[5][1000] = args[3] + 1e-6
     got, calls = _finish_calls(args)
     assert got[0] == "OrbitEscapeError"
-    assert calls[0][1] == 5 and calls[1][1] == 1
+    assert calls[0][1] == 4 and calls[1][1] == 1
     assert got == _outcome(reference_induced_stats, *args)
 
 
 def test_drift_in_the_tail_is_replayed():
-    # the rounds over all points stop at the cap, 8; the few points with
-    # return time 10 go on to `_finish` at round 9 and drift there
+    # the rounds over all points stop at the cap, n_cap - 1 = 7; the few
+    # points with return time 9 or 10 go on to `_finish` at round 8, and
+    # those with time 10 drift there
     args = _bulk_shape_args(8)
     got, calls = _finish_calls(args)
     assert got[0] == "InvariantViolationError"
-    assert calls[0] == (10, 9)
+    assert calls[0] == (26, 8)
     assert calls[-1][1] == 1
+    assert got == _outcome(reference_induced_stats, *args)
+
+
+def test_a_return_at_n_plus_one_is_counted_through_finish():
+    # the rounds stop at n_cap - 1 = 4, so the one point with return time
+    # n_cap + 1 = 6 reads the row of -inf and lands in `_finish` at round 5
+    args = _round_order_args([_slow(5)], 64, 5)
+    got, calls = _finish_calls(args)
+    assert got[0] == [0, 0, 128, 0, 0, 0, 1] and calls == [(1, 5)]
     assert got == _outcome(reference_induced_stats, *args)
 
 
 @pytest.mark.parametrize("n", [4, 10])
 def test_bulk_batches_finish_every_excursion_in_the_rounds(n):
-    # a `simulate --samples` batch: 1024 points run R = n rounds per step
+    # a `simulate --samples` batch: 1024 points run R = n - 1 rounds per
+    # step, and every return time is at most n
     ctx = solve_beta(n)
     x0 = kernels.uniform_starts(n, 1024, ctx.a, ctx.b)
     args = (ctx.beta, ctx.a, ctx.b, ctx.domain_max, ctx.n, x0, 100, n)
@@ -681,6 +694,45 @@ def test_chain_sample_matches_reference(args, chunk):
     assert np.array_equal(path, reference_chain_sample(*args))
 
 
+def _lookup_steps(cum_rows):
+    """Steps the chain walk takes per table lookup: the largest k with
+    m^k <= 256 and m * nb^k <= a draw's words, nb the bin count."""
+    m, nb = len(cum_rows), np.unique(cum_rows).size + 1
+    k = 1
+    while m ** (k + 1) <= 256 and m * nb ** (k + 1) <= kernels._DRAW_WORDS:
+        k += 1
+    return k
+
+
+@st.composite
+def few_bin_chain_inputs(draw):
+    """Chains of 1..16 states whose cumulative rows take few distinct
+    values, so the walk takes k > 1 steps per lookup, and a path whose
+    transitions leave a tail shorter than k; the longer paths cross a
+    draw of 16,384 steps, which k = 3 does not divide."""
+    m = draw(st.integers(1, 16))
+    seed = draw(st.integers(0, 2 ** 64 - 1))
+    grid = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])
+    cum_rows = np.maximum.accumulate(
+        np.array(draw(st.lists(grid, min_size=m * m, max_size=m * m)))
+        .reshape(m, m), axis=1)
+    if draw(st.booleans()):  # an entry equal to a drawn uniform
+        cum_rows[draw(st.integers(0, m - 1))][-1] = \
+            uniform_array(seed, 8)[draw(st.integers(0, 7))]
+        cum_rows = np.maximum.accumulate(cum_rows, axis=1)
+    k = _lookup_steps(cum_rows)
+    steps = 1 + k * draw(st.integers(0, 12000)) + draw(st.integers(1, k - 1))
+    return cum_rows, cum_rows[draw(st.integers(0, m - 1))], steps, seed
+
+
+@settings(max_examples=60, deadline=None)
+@given(args=few_bin_chain_inputs())
+def test_chain_sample_walks_k_steps_per_lookup_as_the_reference(args):
+    assert _lookup_steps(args[0]) > 1
+    path = kernels.chain_sample(*args)
+    assert np.array_equal(path, reference_chain_sample(*args))
+
+
 def test_chain_sample_uniform_on_an_edge():
     # a uniform equal to a cumulative entry counts that entry as passed
     seed, steps = 5, 40
@@ -721,6 +773,27 @@ def test_chain_sample_holds_no_full_length_temporaries():
     # bins and bin list; then uniforms, bin list and path list. The bound
     # allows four.
     assert path.size == 10 ** 6 and peak < 10 ** 6 + 4 * 16384 * 8
+
+
+def test_chain_table_holds_one_byte_per_state_and_bin():
+    # a dense random 127-state chain has nb = 16,015 bins (at most
+    # 127^2 + 1); a 10-step path needs the table's m * nb bytes, beside the
+    # sorted values and one row's counts, nb 8-byte items each, as many as
+    # one draw of 16,384 words would hold. The bound allows three draws
+    m = 127
+    rows = np.random.default_rng(7).random((m, m))
+    cum_rows = np.cumsum(rows / rows.sum(axis=1, keepdims=True), axis=1)
+    nb = np.unique(cum_rows).size + 1
+    assert nb == 16015
+    tracemalloc.start()
+    try:
+        path = kernels.chain_sample(cum_rows, cum_rows[0], 10, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(
+        path, reference_chain_sample(cum_rows, cum_rows[0], 10, 1))
+    assert peak < m * nb + 3 * 16384 * 8
 
 
 def test_induced_stats_working_set_is_one_draw():
