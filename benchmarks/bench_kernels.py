@@ -58,10 +58,16 @@ INDUCED_CASES = [
     # the batches of bulk `simulate --samples 10000000` (1024 points)
     (4, 1024, 9765),
     (10, 1024, 9765),
+    # one point runs no rounds: every step goes whole through `_finish`
+    (3, 1, 20000),
+    # 4 points run 3 of n - 1 = 23 rounds, so many points outlive them
+    (24, 4, 10000),
 ]
 CHAIN_CASES = [
     (3, 1_000_000),
     (8, 1_000_000),
+    # one step per lookup, with bins counted in bytes
+    (12, 1_000_000),
 ]
 # the n of verify --suite symbolic's depth-4 rows (3..5 by default, 3..6
 # in verify-sweep) and a larger one

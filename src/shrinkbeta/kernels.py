@@ -42,20 +42,22 @@ fast it comes:
   (checked per call) makes `beta*x - 1` rise past `domain_max + guard`
   and `beta*x` fall below `-guard`, so an escaped point is still out when
   they end.
-* `_finish` runs leftover points one by one to their returns: from round
-  R + 1 those still out after R rounds (they read the -inf row), and from
-  round 1 every point of a step with R = 0 (one point, a beta too small
-  for `domain_max`, or a failed check above) or in which a point lands
-  past `[a, b]`. Only starts outside `[a, b]`, which `induced_stats`
+* `_finish` runs leftover points one by one from their coin-step values
+  to their returns: every point of a step with R = 0 (one point, a beta
+  too small for `domain_max`, or a failed check above), and in a step
+  with rounds each point whose landing value lies below its least one,
+  `lo`: still out after R rounds (it reads the -inf row) or landed past
+  `[a, b]`. Such a point's landing round is set to R + 1, which the
+  histogram skips. Only starts outside `[a, b]`, which `induced_stats`
   refuses, land past: at n = 3..53, `fl(fl(beta*b') - 1) >= a` for the
   double `b'` after b and `fl(beta*a') <= b` for the double `a'` before
   a (a test checks both), so by monotonicity every landing is in `[a, b]`.
   It is the one place that raises `OrbitEscapeError` or
-  `InvariantViolationError`. A run from round 1 raises the least (round,
-  drift before escape, index) of the points' first errors, which a
-  round-by-round check meets first: no excursion reads another. The
-  rounds check no guard, so when the call from round R + 1 raises, a
-  replay of the step from its coin-step values finds that error.
+  `InvariantViolationError`. A call raises the least (round, drift
+  before escape, index) of its points' first errors, which a
+  round-by-round check meets first: no excursion reads another, and a
+  point the rounds land never errs (an escaped point only moves further
+  out, and the rounds end before a drift).
 * `chain_sample` turns each uniform into its bin among the nb - 1
   distinct values of all cumulative rows, then walks a table over `bytes`
   rows, one draw of `_DRAW_WORDS` steps at a time. The next state is the
@@ -71,9 +73,10 @@ fast it comes:
   its last state, so the walk reads `state := table[state][key]` for any
   k, and k = 1 is the one-step walk itself. Parry chains with n <= 8 take
   2 or 3 steps per lookup; a draw's tail shorter than k runs one step at
-  a time. k > 1 needs `nb^2 <= _DRAW_WORDS`, so at most 127 edges, and
-  then counting the edges at most `u` in bytes, one compare and add per
-  edge, finds the bins faster than `searchsorted`'s branchy bisection.
+  a time. Where `nb^2 <= _DRAW_WORDS`, so at most 127 edges (every chain
+  with k > 1, and every Parry chain up to n = 53, which has 107 bins),
+  counting the edges at most `u` in bytes, one compare and add per edge,
+  finds the bins faster than `searchsorted`'s branchy bisection.
   Rows must be non-decreasing, as checked on entry.
 
 `_DRAW_WORDS` sizes every draw, so a bulk loop's working set is about
@@ -190,39 +193,30 @@ def _induced(beta, a, b, domain_max, n_cap, x0, steps, seed):
             coin.take(bits, axis=1, out=aux, mode="clip")
             mul(x, factor, x)
             x -= bit
+            if not rounds:
+                idx = ((x < a) | (x > b)).nonzero()[0]
+                hist[1] += count - idx.size
+                x[idx] = _finish(beta, a, b, domain_max, n_cap, hist,
+                                 x[idx].tolist())
+                continue
             mul(x, s, rows[0])
-            if rounds:
-                for src, dst in moves:
-                    mul(src, factor, dst)
-                    sub(dst, d, dst)
-                greater(w[:-1], t, away)
-                np.add.reduce(away.view(np.uint8), 0, None, back)
-                mul(back, size, flat)  # the flat index of each landing
-                flat += cols
-                w.take(flat, out=land, mode="clip")
-                mul(land, s, x)
-                if not np.count_nonzero(less(land, lo, past)):
-                    continue
+            for src, dst in moves:
+                mul(src, factor, dst)
+                sub(dst, d, dst)
+            greater(w[:-1], t, away)
+            np.add.reduce(away.view(np.uint8), 0, None, back)
+            mul(back, size, flat)  # the flat index of each landing
+            flat += cols
+            w.take(flat, out=land, mode="clip")
+            mul(land, s, x)
+            if np.count_nonzero(less(land, lo, past)):
+                # still out or landed past [a, b]: the histogram skips
+                # these landing rounds, and each point runs from its
+                # coin-step value
                 odd = past.nonzero()[0]
-                if back.take(odd).min() > rounds:  # all still out
-                    v = rows[rounds].take(odd) * s.take(odd)
-                    try:
-                        x[odd] = _finish(beta, a, b, domain_max, n_cap, hist,
-                                         v.tolist(), rounds + 1)
-                    except (OrbitEscapeError, InvariantViolationError):
-                        y = rows[0] * s  # the positions after the coin step
-                        _finish(beta, a, b, domain_max, n_cap, hist,
-                                y[(y < a) | (y > b)].tolist(), 1)
-                        raise
-                    continue
-                # a point landed past [a, b]: none of these landing
-                # rounds counts, and the whole step runs below
-                back[:] = rounds + 1
-                mul(rows[0], s, x)
-            idx = ((x < a) | (x > b)).nonzero()[0]
-            hist[1] += count - idx.size
-            x[idx] = _finish(beta, a, b, domain_max, n_cap, hist,
-                             x[idx].tolist(), 1)
+                back[odd] = rounds + 1
+                x[odd] = _finish(beta, a, b, domain_max, n_cap, hist,
+                                 (rows[0].take(odd) * s.take(odd)).tolist())
         if rounds:
             done, eq = lands[:len(z)], hits[:len(z)]
             for r in range(rounds + 1):
@@ -231,16 +225,17 @@ def _induced(beta, a, b, domain_max, n_cap, x0, steps, seed):
     return np.array(hist, dtype=np.int64), x
 
 
-def _finish(beta, a, b, domain_max, n_cap, hist, v, rounds):
-    """Run each of a few points from round `rounds` to its return, one
-    after the other; `v` holds their values in index order and comes back
-    holding their final values. Each point's first error is keyed by
-    (round, drift before escape, position), and the least key is raised:
-    the error a round-by-round check over all points would meet first."""
+def _finish(beta, a, b, domain_max, n_cap, hist, v):
+    """Run each of a few points from its coin step to its return, one
+    after the other; `v` holds their values after the coin step in index
+    order and comes back holding their final values. Each point's first
+    error is keyed by (round, drift before escape, position), and the
+    least key is raised: the error a round-by-round check over all points
+    would meet first."""
     low, high = -_DRIFT_GUARD, domain_max + _DRIFT_GUARD
     errors = []
     for i, y in enumerate(v):
-        r = rounds
+        r = 1
         while r <= n_cap:
             y = beta * y - 1.0 if y > b else beta * y
             if y < a or y > b:
@@ -317,7 +312,7 @@ def chain_sample(cum_rows, start_cum, steps: int, seed: int):
     out[0] = state
     for k0 in range(1, steps, _DRAW_WORDS):
         u = _uniforms(seed, STREAM_CHAIN, k0, min(k0 + _DRAW_WORDS, steps))
-        if k > 1:  # at most 127 edges: count those at most u, in bytes
+        if nb * nb <= _DRAW_WORDS:  # <= 127 edges: count those <= u in bytes
             at, hit = np.zeros(u.size, dtype=np.uint8), np.empty(u.size, bool)
             for edge in edges.tolist():
                 np.add(at, np.greater_equal(u, edge, hit).view(np.uint8), at)

@@ -479,7 +479,7 @@ def test_a_step_run_whole_from_round_one_raises_without_a_replay(case):
     args = _round_order_args(pairs, 64, n_cap)
     with mock.patch.object(kernels, "_MAX_ROUNDS", 0):
         got, calls = _finish_calls(args)
-    assert got[0] == error.__name__ and calls == [(194, 1)]
+    assert got[0] == error.__name__ and calls == [194]
     assert got == _outcome(reference_induced_stats, *args)
 
 
@@ -492,23 +492,22 @@ def _bulk_shape_args(n_cap, seed=10):
 
 
 def _finish_calls(args):
-    """The kernel's outcome, and (point count, first round) of each of its
-    `_finish` calls."""
+    """The kernel's outcome, and the point count of each of its `_finish`
+    calls."""
     with mock.patch.object(kernels, "_finish",
                            wraps=kernels._finish) as spy:
         got = _outcome(kernels._induced, *args)
-    return got, [(len(c.args[6]), c.args[7]) for c in spy.call_args_list]
+    return got, [len(c.args[6]) for c in spy.call_args_list]
 
 
-def test_drift_at_the_round_cap_is_replayed():
+def test_drift_at_the_round_cap_raises_from_the_points_still_out():
     # 231 of 1024 points are still out after n_cap - 1 = 3 rounds, so the
-    # rounds over all points reach the cap and hand all of them on to
-    # `_finish`
+    # rounds over all points reach the cap and hand those points, and no
+    # other, on to `_finish`, which meets the drift
     args = _bulk_shape_args(4)
     got, calls = _finish_calls(args)
     assert got[0] == "InvariantViolationError"
-    assert calls[0] == (231, 4)
-    assert len(calls) == 2 and calls[1][1] == 1
+    assert calls == [231]
     assert got == _outcome(reference_induced_stats, *args)
 
 
@@ -520,28 +519,27 @@ def test_escape_at_round_one_beats_a_later_drift():
     args[5][1000] = args[3] + 1e-6
     got, calls = _finish_calls(args)
     assert got[0] == "OrbitEscapeError"
-    assert calls[0][1] == 4 and calls[1][1] == 1
+    assert calls == [232]  # the 231 still out and the escaped point
     assert got == _outcome(reference_induced_stats, *args)
 
 
-def test_drift_in_the_tail_is_replayed():
+def test_drift_in_the_tail_raises_from_the_points_still_out():
     # the rounds over all points stop at the cap, n_cap - 1 = 7; the few
-    # points with return time 9 or 10 go on to `_finish` at round 8, and
-    # those with time 10 drift there
+    # points with return time 9 or 10 go on to `_finish`, and those with
+    # time 10 drift there
     args = _bulk_shape_args(8)
     got, calls = _finish_calls(args)
     assert got[0] == "InvariantViolationError"
-    assert calls[0] == (26, 8)
-    assert calls[-1][1] == 1
+    assert calls == [26]
     assert got == _outcome(reference_induced_stats, *args)
 
 
 def test_a_return_at_n_plus_one_is_counted_through_finish():
     # the rounds stop at n_cap - 1 = 4, so the one point with return time
-    # n_cap + 1 = 6 reads the row of -inf and lands in `_finish` at round 5
+    # n_cap + 1 = 6 reads the row of -inf and lands in `_finish`
     args = _round_order_args([_slow(5)], 64, 5)
     got, calls = _finish_calls(args)
-    assert got[0] == [0, 0, 128, 0, 0, 0, 1] and calls == [(1, 5)]
+    assert got[0] == [0, 0, 128, 0, 0, 0, 1] and calls == [1]
     assert got == _outcome(reference_induced_stats, *args)
 
 
@@ -557,10 +555,10 @@ def test_bulk_batches_finish_every_excursion_in_the_rounds(n):
     assert got == _outcome(reference_induced_stats, *args)
 
 
-def test_points_out_after_the_rounds_go_on_from_the_next_round():
+def test_points_out_after_the_rounds_finish_from_their_coin_step():
     # 64 points at n = 24 run ceil(ln 64 / ln beta) = 9 rounds over all
     # points per step; fewer than one point per step, on average, has a
-    # return time above 10 and goes on from round 10
+    # return time above 10 and goes on in `_finish`, which counts it
     ctx = solve_beta(24)
     rounds = math.ceil(math.log(64) / math.log(ctx.beta))
     assert rounds == 9
@@ -568,15 +566,16 @@ def test_points_out_after_the_rounds_go_on_from_the_next_round():
     args = (ctx.beta, ctx.a, ctx.b, ctx.domain_max, ctx.n, x0, 40, 5)
     got, calls = _finish_calls(args)
     assert type(got[0]) is list and sum(got[0][rounds + 2:]) > 0
-    assert calls and {first for _, first in calls} == {rounds + 1}
+    assert calls and sum(calls) == sum(got[0][rounds + 2:])
     assert got == _outcome(reference_induced_stats, *args)
 
 
-def test_landing_past_the_interval_replays_the_step():
+def test_a_point_landing_past_the_interval_finishes_alone():
     # on [1/4, 1/2] at beta = 2, a point at 5/8 above b returns at 1/4 = a
     # and one at 1/8 below a at 1/4; a point at 0.6 lands past [a, b] on
-    # either branch (at 0.2 above, or at once below), and the step runs
-    # from round 1 through `_finish`, where it returns at time 3
+    # either branch (at 0.2 above, or at once below), and runs alone from
+    # its coin step through `_finish`, where it returns at time 3. Beside
+    # a point that escapes at round 3, that call raises the escape
     coins = kernels.coin_bits(3, 40).tolist()
     landing = [0.125 if bit else 0.625 for bit in coins]
     args = list(_landing_args(landing, 6))
@@ -587,7 +586,12 @@ def test_landing_past_the_interval_replays_the_step():
     landing[17] = 0.6
     args[5] = _landing_args(landing, 6)[5]
     got, calls = _finish_calls(args)
-    assert got[0] == [0, 0, 39, 1, 0, 0, 0, 0] and calls == [(40, 1)]
+    assert got[0] == [0, 0, 39, 1, 0, 0, 0, 0] and calls == [1]
+    assert got == _outcome(reference_induced_stats, *args)
+    landing[30] = _escape_at(3, 1.5)[1 - coins[30]]
+    args[5] = _landing_args(landing, 6)[5]
+    got, calls = _finish_calls(args)
+    assert got[0] == "OrbitEscapeError" and calls == [2]
     assert got == _outcome(reference_induced_stats, *args)
 
 
@@ -599,7 +603,7 @@ def test_a_branch_that_crosses_back_finishes_point_by_point():
     x0 = np.array([0.5 if bit else 0.25 for bit in coins])  # to 1/2 or b
     args = (3.0, 0.25, 0.75, 1.0, 6, x0, 1, 3)
     got, calls = _finish_calls(args)
-    assert got[0] == [0, 40, 0, 0, 0, 0, 0, 0] and calls == [(0, 1)]
+    assert got[0] == [0, 40, 0, 0, 0, 0, 0, 0] and calls == [0]
     assert got == _outcome(reference_induced_stats, *args)
 
 
@@ -745,15 +749,45 @@ def test_chain_sample_uniform_on_an_edge():
         path, reference_chain_sample(cum_rows, start_cum, steps, seed))
 
 
-@pytest.mark.parametrize("n", [3, 8])
+def _bisected_draws(cum_rows, start_cum, steps, seed):
+    """A chain path, and how many of its draws of `_DRAW_WORDS` uniforms
+    went through `np.searchsorted`."""
+    with mock.patch.object(np, "searchsorted",
+                           wraps=np.searchsorted) as spy:
+        path = kernels.chain_sample(cum_rows, start_cum, steps, seed)
+    return path, sum(np.size(c.args[1]) == kernels._DRAW_WORDS
+                     for c in spy.call_args_list)
+
+
+@pytest.mark.parametrize("n", [3, 8, 9, 10, 11, 12])
 def test_parry_path_matches_reference_across_chunks(n):
+    # no Parry chain bisects a draw: n = 3..8 walk k > 1 steps per lookup,
+    # and from n = 9 one step, over 20..26 bins counted in bytes
     chain = markov.build_chain(n)
     cum_rows = np.cumsum(chain.P_trans, axis=1)
     start_cum = np.cumsum(chain.p)
     steps = 2 * kernels._DRAW_WORDS + 3
+    path, bisected = _bisected_draws(cum_rows, start_cum, steps, n)
+    assert bisected == 0
     assert np.array_equal(
-        kernels.chain_sample(cum_rows, start_cum, steps, seed=n),
-        reference_chain_sample(cum_rows, start_cum, steps, seed=n))
+        path, reference_chain_sample(cum_rows, start_cum, steps, seed=n))
+
+
+def _dense_chain(m=127, seed=7):
+    """Cumulative rows of a dense random m-state chain: 16,015 bins at
+    m = 127."""
+    rows = np.random.default_rng(seed).random((m, m))
+    return np.cumsum(rows / rows.sum(axis=1, keepdims=True), axis=1)
+
+
+def test_a_chain_of_many_bins_bisects_its_draws():
+    # the dense chain's 16,015 bins are too many to count in bytes
+    cum_rows = _dense_chain()
+    steps = kernels._DRAW_WORDS + 1
+    path, bisected = _bisected_draws(cum_rows, cum_rows[0], steps, 1)
+    assert bisected == 1
+    assert np.array_equal(
+        path, reference_chain_sample(cum_rows, cum_rows[0], steps, 1))
 
 
 def test_chain_sample_holds_no_full_length_temporaries():
@@ -781,8 +815,7 @@ def test_chain_table_holds_one_byte_per_state_and_bin():
     # sorted values and one row's counts, nb 8-byte items each, as many as
     # one draw of 16,384 words would hold. The bound allows three draws
     m = 127
-    rows = np.random.default_rng(7).random((m, m))
-    cum_rows = np.cumsum(rows / rows.sum(axis=1, keepdims=True), axis=1)
+    cum_rows = _dense_chain(m)
     nb = np.unique(cum_rows).size + 1
     assert nb == 16015
     tracemalloc.start()
